@@ -1,16 +1,23 @@
 //! Sustained span-path throughput: the tentpole benchmark for the
 //! arena/SoA [`SpanStore`] and the `.xspb` binary interchange.
 //!
-//! Two families, each at 10k and 100k spans:
+//! Three families, each at 10k and 100k spans. Every arm runs the same
+//! correlation pass; the arms differ in how spans arrive and in which
+//! output step they take:
 //!
 //! * **spanpath** — publish → drain → correlate, the resident hot path.
 //!   The `span` arm drains into a `Trace` (one owned [`Span`] per span,
-//!   strings and all) and correlates it; the `store` arm drains straight
-//!   into a [`SpanStore`] (columns + interned names) and runs the
-//!   store-native correlation pass over indices.
+//!   strings and all) and correlates it, moving the spans into the
+//!   result; the `store` arm drains into a [`SpanStore`] (columns +
+//!   interned names) and correlates over store indices without
+//!   materializing.
+//! * **incremental** — the `push` arm feeds owned spans chunk by chunk
+//!   into the correlation window and finalizes it; the `batch` arm drains
+//!   once and correlates once.
 //! * **ingest** — parse → correlate from saved capture bytes, the offline
-//!   path. The `jsonl` arm parses span-JSON-lines; the `xspb` arm streams
-//!   the binary format directly into a store.
+//!   path. The `jsonl` arm parses span-JSON-lines into owned spans; the
+//!   `xspb` arm streams the binary format directly into a store and
+//!   correlates over store indices.
 //!
 //! `--quick` (or `XSP_BENCH_QUICK=1`) is the CI smoke lane: reduced
 //! samples, and with `--json <path>` a machine-readable summary of

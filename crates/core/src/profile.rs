@@ -7,7 +7,7 @@
 //! the event when profilers up to level n are enabled from the latency when
 //! profilers up to level n+1 are enabled."
 //!
-//! [`Xsp::leveled`] therefore runs the model at M, M/L, and M/L/G and keeps,
+//! [`Xsp::run`] therefore runs the model at M, M/L, and M/L/G and keeps,
 //! for every event, the measurement from the *shallowest* level that
 //! observes it: model latency from M runs, layer latencies from M/L runs,
 //! kernel latencies from M/L/G runs. The per-level overhead is what
@@ -512,7 +512,7 @@ impl RunKind {
     /// Seed-offset base of the kind's runs. This is the *one* table of
     /// span-id scope keys: every orchestrator entry point derives its run
     /// indices from it, so e.g. an M/L run profiles (and serializes)
-    /// identically whether it was launched by [`Xsp::leveled`] or
+    /// identically whether it was launched by [`Xsp::run`] or
     /// `xsp export --level 2`.
     fn base(self) -> u64 {
         match self {
@@ -804,42 +804,6 @@ impl Xsp {
         }
     }
 
-    /// Runs the full leveled experimentation on one graph.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `xsp.run(ProfileRequest::new(graph))` — see the migration note in ARCHITECTURE.md"
-    )]
-    pub fn leveled(&self, graph: &LayerGraph) -> LeveledProfile {
-        self.run(ProfileRequest::new(graph))
-    }
-
-    /// Leveled experimentation truncated at `level`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `xsp.run(ProfileRequest::new(graph).level(level))` — see the migration note in ARCHITECTURE.md"
-    )]
-    pub fn up_to_level(&self, graph: &LayerGraph, level: ProfilingLevel) -> LeveledProfile {
-        self.run(ProfileRequest::new(graph).level(level))
-    }
-
-    /// Model-level only (cheap; used by batch sweeps).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `xsp.run(ProfileRequest::new(graph).level(ProfilingLevel::Model))` — see the migration note in ARCHITECTURE.md"
-    )]
-    pub fn model_only(&self, graph: &LayerGraph) -> LeveledProfile {
-        self.run(ProfileRequest::new(graph).level(ProfilingLevel::Model))
-    }
-
-    /// Model + GPU-level only profile.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `xsp.run(ProfileRequest::new(graph).mode(ProfileMode::ModelAndMetrics))` — see the migration note in ARCHITECTURE.md"
-    )]
-    pub fn with_gpu(&self, graph: &LayerGraph) -> LeveledProfile {
-        self.run(ProfileRequest::new(graph).mode(ProfileMode::ModelAndMetrics))
-    }
-
     /// Sweeps batch sizes (model-level profiling only), stopping early once
     /// throughput stops improving for two consecutive doublings.
     ///
@@ -990,35 +954,6 @@ mod tests {
             "worker count must not change the trace"
         );
         assert_eq!(serial.model_latency_ms(), parallel.model_latency_ms());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_delegate_to_run() {
-        // The four pre-ProfileRequest entry points must stay byte-identical
-        // to the requests they document as replacements.
-        let xsp = xsp();
-        let g = tiny(2);
-        assert_eq!(
-            xsp.leveled(&g).to_span_json(),
-            xsp.run(ProfileRequest::new(&g)).to_span_json()
-        );
-        assert_eq!(
-            xsp.model_only(&g).to_span_json(),
-            xsp.run(ProfileRequest::new(&g).level(ProfilingLevel::Model))
-                .to_span_json()
-        );
-        assert_eq!(
-            xsp.up_to_level(&g, ProfilingLevel::ModelLayer)
-                .to_span_json(),
-            xsp.run(ProfileRequest::new(&g).level(ProfilingLevel::ModelLayer))
-                .to_span_json()
-        );
-        assert_eq!(
-            xsp.with_gpu(&g).to_span_json(),
-            xsp.run(ProfileRequest::new(&g).mode(ProfileMode::ModelAndMetrics))
-                .to_span_json()
-        );
     }
 
     #[test]

@@ -325,9 +325,6 @@ impl Session {
     pub fn export_bytes(&mut self, format: ExportFormat) -> Vec<u8> {
         self.touch();
         self.drain_lane();
-        if self.store.is_empty() {
-            return Vec::new();
-        }
         let key = self.export_key(format);
         if let Some(cache) = &self.export_cache {
             if let Some(hit) = cache.get(key) {
@@ -595,6 +592,24 @@ mod tests {
             fresh.content_fingerprint(),
             "post-spill fingerprint covers exactly the resident batches"
         );
+    }
+
+    #[test]
+    fn fresh_session_exports_like_an_offline_empty_capture() {
+        // An empty store still writes each format's envelope (the `.xspb`
+        // header, the Chrome `traceEvents` array), exactly as
+        // `xsp export --from` of a zero-span capture does.
+        let mut s = Session::new(1, 10, OnFull::Shed, None);
+        let profile = xsp_core::pipeline::profile_from_trace(
+            xsp_trace::Trace::from_spans(Vec::new()),
+            ProfilingLevel::ModelLayerGpu,
+        );
+        for format in ExportFormat::ALL {
+            let mut offline = Vec::new();
+            export_run_profile(&profile, format, &mut offline).unwrap();
+            assert_eq!(s.export_bytes(format), offline, "{format}");
+        }
+        assert_eq!(s.correlation_passes(), 0, "no runs, no passes");
     }
 
     #[test]

@@ -19,11 +19,25 @@
 //!    caller can re-run with serialized execution
 //!    (`CUDA_LAUNCH_BLOCKING=1`).
 //!
-//! The engine follows the repository-wide "index once, borrow everywhere"
-//! rule: it consumes the drained [`Trace`] (no span is cloned on the hot
-//! path), walks each evaluation run exactly once to merge async pairs and
-//! bucket span indices per stack level, and builds interval trees *lazily* —
-//! a level's tree is constructed on the first probe against it and cached
+//! Both problems are solved by one pass, written once: the engine's
+//! per-run routine reads spans through a small index-access trait
+//! implemented for owned spans (`[Span]`) and for the columnar
+//! [`SpanStore`], and returns a verdict per surviving span — source index,
+//! resolved parent, merged launch index — plus the [`AmbiguityReport`].
+//! Each representation keeps only its output step:
+//!
+//! * **owned spans** ([`CorrelationEngine::correlate`] and the incremental
+//!   window) move out of the run into the [`CorrelatedTrace`]; a merged
+//!   execution reads the launch tags it lacks from the launch span by
+//!   reference, so no span or tag vector is cloned;
+//! * **store entries** ([`CorrelationEngine::correlate_store`] and the
+//!   daemon's [`StoreCorrelationCache`]) stay store indices, the launch's
+//!   tags stay in the store's arena, and owned spans are built only by
+//!   [`StoreCorrelation::materialize`].
+//!
+//! The pass walks each evaluation run once to merge async pairs and bucket
+//! span indices per stack level, and builds interval trees *lazily* — a
+//! level's tree is constructed on the first probe against it and cached
 //! for every later probe in the run. Levels that are never probed (most
 //! notably the kernel level, which holds the overwhelming majority of
 //! spans but can never be anyone's parent) never pay for tree
@@ -276,12 +290,84 @@ fn async_role(s: &Span) -> AsyncRole {
     }
 }
 
-/// The launch half of an async pair, captured once during the
-/// classification pass so merges borrow it instead of re-scanning.
-struct LaunchHalf {
+/// What the correlation pass reads of a span representation, by source
+/// index: the run's position for a `[Span]`, the store index for a
+/// [`SpanStore`].
+trait SpanSource {
+    fn role(&self, i: u32) -> AsyncRole;
+    fn id(&self, i: u32) -> SpanId;
+    fn level(&self, i: u32) -> StackLevel;
+    fn interval(&self, i: u32) -> (u64, u64);
+    fn parent(&self, i: u32) -> Option<SpanId>;
+}
+
+impl SpanSource for [Span] {
+    fn role(&self, i: u32) -> AsyncRole {
+        async_role(&self[i as usize])
+    }
+
+    fn id(&self, i: u32) -> SpanId {
+        self[i as usize].id
+    }
+
+    fn level(&self, i: u32) -> StackLevel {
+        self[i as usize].level
+    }
+
+    fn interval(&self, i: u32) -> (u64, u64) {
+        let s = &self[i as usize];
+        (s.start_ns, s.end_ns)
+    }
+
+    fn parent(&self, i: u32) -> Option<SpanId> {
+        self[i as usize].parent
+    }
+}
+
+impl SpanSource for SpanStore {
+    /// The same facts [`async_role`] derives from tags, read from the
+    /// columns the store precomputed at push.
+    fn role(&self, i: u32) -> AsyncRole {
+        let info = self.async_info(i);
+        if info.flags & HAS_CID == 0 {
+            return AsyncRole::Plain;
+        }
+        match (info.flags & IS_LAUNCH != 0, info.flags & IS_EXEC != 0) {
+            (true, false) => AsyncRole::Launch(info.cid),
+            (false, true) => AsyncRole::Execution(info.cid),
+            _ => AsyncRole::Plain,
+        }
+    }
+
+    fn id(&self, i: u32) -> SpanId {
+        self.id_at(i)
+    }
+
+    fn level(&self, i: u32) -> StackLevel {
+        self.level_at(i)
+    }
+
+    fn interval(&self, i: u32) -> (u64, u64) {
+        self.interval_at(i)
+    }
+
+    fn parent(&self, i: u32) -> Option<SpanId> {
+        self.parent_at(i)
+    }
+}
+
+/// The correlation pass's verdict on one surviving span, by source index.
+#[derive(Debug, Clone, Copy)]
+struct Verdict {
+    /// The span that survives: for a merged async pair, the execution half
+    /// (its timing is the performance information).
+    span: u32,
+    /// Resolved parent: the span's explicit parent, the merged launch's
+    /// parent, or a reconstructed one.
     parent: Option<SpanId>,
-    interval: (u64, u64),
-    tags: Vec<(String, TagValue)>,
+    /// The launch half merged into `span`; its interval anchors parent
+    /// matching and its tags fill the ones the execution lacks.
+    launch: Option<u32>,
 }
 
 /// Reusable correlation state: per-level index buckets and the lazy
@@ -302,20 +388,20 @@ struct LaunchHalf {
 /// Besides the one-shot [`CorrelationEngine::correlate`] /
 /// [`CorrelationEngine::correlate_store`] entry points, the engine consumes
 /// span batches *as they arrive*: [`CorrelationEngine::push_batch`] routes
-/// each span into a sliding window of per-run column stores (keyed by
+/// each owned span into a sliding window of per-run span vectors (keyed by
 /// [`TraceId`], first-appearance order), and
 /// [`CorrelationEngine::finalize_run`] / [`CorrelationEngine::finalize_all`]
-/// run the store-native correlation pass over a window run and retire it.
-/// Because async pairing scans a whole run (a launch may precede its
-/// execution by an arbitrary number of batches), the run is the finalization
-/// unit: peak memory is bounded by the unfinalized window rather than the
-/// whole sweep, and correlation work overlaps the evaluation that produces
-/// later runs. Finalizing runs in first-appearance order yields output
-/// byte-identical to the batch engine (the oracle proptest and goldens pin
-/// this).
+/// run the correlation pass over a window run and retire it, moving its
+/// spans into the output. Because async pairing scans a whole run (a launch
+/// may precede its execution by an arbitrary number of batches), the run
+/// is the finalization unit: peak memory is bounded by the unfinalized
+/// window rather than the whole sweep, and correlation work overlaps the
+/// evaluation that produces later runs. Finalizing runs in
+/// first-appearance order yields output byte-identical to the batch engine
+/// (the oracle proptest and goldens pin this).
 #[derive(Default)]
 pub struct CorrelationEngine {
-    /// Per-level span indices of the run being correlated, `StackLevel`
+    /// Per-level verdict indices of the run being correlated, `StackLevel`
     /// rank as the slot.
     level_buckets: [Vec<usize>; StackLevel::ALL.len()],
     /// Lazily built per-level trees for the run being correlated.
@@ -323,11 +409,9 @@ pub struct CorrelationEngine {
     /// Cumulative count of tree constructions per level (across runs and
     /// traces) — observability for the laziness contract.
     trees_built: [usize; StackLevel::ALL.len()],
-    /// Sliding window of unfinalized runs, first-appearance order: spans
-    /// pushed incrementally land in a per-run column store (async roles and
-    /// run bucketing computed at push), so finalization is exactly one
-    /// store-native correlation pass with zero re-classification.
-    window: Vec<(TraceId, SpanStore)>,
+    /// Sliding window of unfinalized runs, first-appearance order. Spans
+    /// arrive owned and leave owned, so the window holds them as they are.
+    window: Vec<(TraceId, Vec<Span>)>,
 }
 
 impl CorrelationEngine {
@@ -348,13 +432,10 @@ impl CorrelationEngine {
 
     /// Buffers one span into the incremental window, routed by its run id.
     ///
-    /// The span lands in that run's column store immediately (names
-    /// interned, async role derived from the tags once), so the later
-    /// [`CorrelationEngine::finalize_run`] does no per-span work beyond the
-    /// correlation pass itself. A push for a run that was already finalized
-    /// opens a *fresh* window entry for that id: spans arriving after
-    /// finalization correlate among themselves only, exactly as if they
-    /// were a new run (the window-eviction hazard tests pin this).
+    /// A push for a run that was already finalized opens a *fresh* window
+    /// entry for that id: spans arriving after finalization correlate among
+    /// themselves only, exactly as if they were a new run (the
+    /// window-eviction hazard tests pin this).
     pub fn push_span(&mut self, span: Span) {
         let tid = span.trace_id;
         // Runs in flight at once are few (the window is the point), so a
@@ -362,11 +443,11 @@ impl CorrelationEngine {
         let slot = match self.window.iter().position(|(t, _)| *t == tid) {
             Some(i) => i,
             None => {
-                self.window.push((tid, SpanStore::new()));
+                self.window.push((tid, Vec::new()));
                 self.window.len() - 1
             }
         };
-        self.window[slot].1.push_owned(span);
+        self.window[slot].1.push(span);
     }
 
     /// Buffers a batch of spans into the incremental window
@@ -387,10 +468,11 @@ impl CorrelationEngine {
 
     /// Total spans buffered in the window across all pending runs.
     pub fn pending_spans(&self) -> usize {
-        self.window.iter().map(|(_, store)| store.len()).sum()
+        self.window.iter().map(|(_, spans)| spans.len()).sum()
     }
 
-    /// Correlates and retires one window run, freeing its buffered spans.
+    /// Correlates and retires one window run, moving its buffered spans
+    /// into the result.
     ///
     /// Returns `None` when the run id is not in the window (never pushed,
     /// already finalized, or a duplicate flush) — finalization is
@@ -398,10 +480,11 @@ impl CorrelationEngine {
     /// the batch engine would emit for this run's spans.
     pub fn finalize_run(&mut self, run: TraceId) -> Option<CorrelatedTrace> {
         let pos = self.window.iter().position(|(tid, _)| *tid == run)?;
-        let (_, store) = self.window.remove(pos);
-        let mut sc = StoreCorrelation::default();
-        self.correlate_store_run(&store, 0, &mut sc);
-        Some(sc.materialize(&store))
+        let (_, spans) = self.window.remove(pos);
+        let mut out = Vec::with_capacity(spans.len());
+        let mut ambiguities = AmbiguityReport::default();
+        self.correlate_spans(spans, &mut out, &mut ambiguities);
+        Some(CorrelatedTrace::new(out, ambiguities))
     }
 
     /// Correlates and retires every pending window run, first-appearance
@@ -415,15 +498,12 @@ impl CorrelationEngine {
     /// window yields an empty trace.
     pub fn finalize_all(&mut self) -> CorrelatedTrace {
         let window = std::mem::take(&mut self.window);
-        let mut spans = Vec::new();
+        let mut out = Vec::with_capacity(window.iter().map(|(_, spans)| spans.len()).sum());
         let mut ambiguities = AmbiguityReport::default();
-        for (_, store) in window {
-            let mut sc = StoreCorrelation::default();
-            self.correlate_store_run(&store, 0, &mut sc);
-            spans.extend(sc.materialized_spans(&store));
-            ambiguities.merge(sc.ambiguities);
+        for (_, spans) in window {
+            self.correlate_spans(spans, &mut out, &mut ambiguities);
         }
-        CorrelatedTrace::new(spans, ambiguities)
+        CorrelatedTrace::new(out, ambiguities)
     }
 
     /// Correlates every evaluation run of `trace` — async-pair merge plus
@@ -437,7 +517,7 @@ impl CorrelationEngine {
         let mut ambiguities = AmbiguityReport::default();
         let mut out: Vec<CorrelatedSpan> = Vec::with_capacity(trace.len());
         for run in Self::run_buckets(trace) {
-            self.correlate_run(run, &mut out, &mut ambiguities);
+            self.correlate_spans(run, &mut out, &mut ambiguities);
         }
         CorrelatedTrace::new(out, ambiguities)
     }
@@ -463,13 +543,74 @@ impl CorrelationEngine {
             .collect()
     }
 
-    /// Correlates one run: a single pass merges async pairs and buckets the
-    /// surviving spans per stack level, then parent reconstruction probes
-    /// the lazily built level trees.
-    fn correlate_run(
+    /// The owned-span output step: correlates one run and moves each
+    /// surviving span into `out`. A merged execution takes its parent from
+    /// the verdict and the launch tags it lacks, read from the launch span
+    /// by reference (one launch may serve several executions).
+    fn correlate_spans(
         &mut self,
         spans: Vec<Span>,
         out: &mut Vec<CorrelatedSpan>,
+        ambiguities: &mut AmbiguityReport,
+    ) {
+        let n = u32::try_from(spans.len()).expect("run exceeds u32 span indices");
+        let mut verdicts = Vec::with_capacity(spans.len());
+        self.correlate_run(&spans[..], 0..n, &mut verdicts, ambiguities);
+        let mut slots: Vec<Option<Span>> = spans.into_iter().map(Some).collect();
+        for v in verdicts {
+            let mut span = slots[v.span as usize]
+                .take()
+                .expect("each span survives at most once");
+            span.parent = v.parent;
+            let launch_interval = v.launch.map(|l| {
+                let launch = slots[l as usize]
+                    .as_ref()
+                    .expect("merged launch halves never survive");
+                for (k, val) in &launch.tags {
+                    if span.tag(k).is_none() {
+                        span.tags.push((k.clone(), val.clone()));
+                    }
+                }
+                (launch.start_ns, launch.end_ns)
+            });
+            out.push(CorrelatedSpan {
+                span,
+                parent: v.parent,
+                launch_interval,
+            });
+        }
+    }
+
+    /// Correlates every run of `store` without materializing a single
+    /// owned [`Span`]: the verdicts reference store indices, so merged
+    /// launch tags stay in the store's tag arena until
+    /// [`StoreCorrelation::materialize`].
+    pub fn correlate_store(&mut self, store: &SpanStore) -> StoreCorrelation {
+        let mut out = StoreCorrelation {
+            entries: Vec::with_capacity(store.len()),
+            ambiguities: AmbiguityReport::default(),
+        };
+        for (_, idxs) in store.run_buckets() {
+            self.correlate_run(
+                store,
+                idxs.iter().copied(),
+                &mut out.entries,
+                &mut out.ambiguities,
+            );
+        }
+        out
+    }
+
+    /// The correlation pass over one run, whatever holds its spans: async
+    /// pairs merge, the surviving spans are bucketed per stack level, then
+    /// each span without an explicit parent probes the lazily built level
+    /// trees above it. Appends one verdict per surviving span to `out`, in
+    /// run order.
+    fn correlate_run<S: SpanSource + ?Sized>(
+        &mut self,
+        src: &S,
+        run: impl IntoIterator<Item = u32>,
+        out: &mut Vec<Verdict>,
         ambiguities: &mut AmbiguityReport,
     ) {
         for bucket in &mut self.level_buckets {
@@ -480,77 +621,43 @@ impl CorrelationEngine {
         }
         let base = out.len();
 
-        // Classification: which correlation ids have a launch half (kept
-        // aside for merging) and which have an execution half. The async
-        // role of each span is derived from its tags exactly once here —
-        // the tag lookups are linear key scans, so re-deriving the role in
-        // every later pass would triple the tag-scan cost.
-        let mut roles: Vec<AsyncRole> = Vec::with_capacity(spans.len());
+        // Classification: each span's async role, derived exactly once
+        // (for owned spans a linear tag-key scan), and which correlation
+        // ids have an execution half.
+        let roles: Vec<(u32, AsyncRole)> = run.into_iter().map(|i| (i, src.role(i))).collect();
         let mut exec_cids: FxHashSet<u64> = FxHashSet::default();
-        for s in &spans {
-            let role = async_role(s);
+        for &(_, role) in &roles {
             if let AsyncRole::Execution(cid) = role {
                 exec_cids.insert(cid);
             }
-            roles.push(role);
         }
-        // Launch halves are copied aside only when an execution half exists
-        // to merge into (the tags copy is needed because one launch may
-        // serve several executions); unpaired launches move straight
-        // through below, clone-free. The walk is sequential over the span
-        // table (cache-friendly) and preserves last-wins cid semantics.
-        let mut launches: FxHashMap<u64, LaunchHalf> = FxHashMap::default();
-        for (i, s) in spans.iter().enumerate() {
-            if let AsyncRole::Launch(cid) = roles[i] {
+        // Pairing: the last launch of each executed cid wins; one launch
+        // serves every execution that shares its cid.
+        let mut launches: FxHashMap<u64, u32> = FxHashMap::default();
+        for &(i, role) in &roles {
+            if let AsyncRole::Launch(cid) = role {
                 if exec_cids.contains(&cid) {
-                    launches.insert(
-                        cid,
-                        LaunchHalf {
-                            parent: s.parent,
-                            interval: (s.start_ns, s.end_ns),
-                            tags: s.tags.clone(),
-                        },
-                    );
+                    launches.insert(cid, i);
                 }
             }
         }
 
-        // Merge pass: spans move into the output table; paired launch halves
-        // fold into their execution span (timing from the execution, parent
-        // and missing tags from the launch). The per-level index buckets
-        // fill as spans land.
-        for (i, s) in spans.into_iter().enumerate() {
-            let entry = match roles[i] {
-                AsyncRole::Execution(cid) => {
-                    if let Some(launch) = launches.get(&cid) {
-                        let mut merged = s;
-                        merged.parent = launch.parent;
-                        for (k, v) in &launch.tags {
-                            if merged.tag(k).is_none() {
-                                merged.tags.push((k.clone(), v.clone()));
-                            }
-                        }
-                        CorrelatedSpan {
-                            launch_interval: Some(launch.interval),
-                            parent: merged.parent,
-                            span: merged,
-                        }
-                    } else {
-                        CorrelatedSpan::passthrough(s)
-                    }
-                }
-                AsyncRole::Launch(cid) => {
-                    // Launch halves fold into their execution span; keep
-                    // only unpaired launches.
-                    if exec_cids.contains(&cid) {
-                        continue;
-                    }
-                    CorrelatedSpan::passthrough(s)
-                }
-                AsyncRole::Plain => CorrelatedSpan::passthrough(s),
+        // Merge: paired launches fold into their executions (timing from
+        // the execution, parent from the launch) and drop out; unpaired
+        // halves and plain spans pass through.
+        for &(i, role) in &roles {
+            let launch = match role {
+                AsyncRole::Execution(cid) => launches.get(&cid).copied(),
+                AsyncRole::Launch(cid) if exec_cids.contains(&cid) => continue,
+                _ => None,
             };
-            self.level_buckets[entry.span.level.rank() as usize].push(out.len());
-            out.push(entry);
+            let parent = src.parent(launch.unwrap_or(i));
+            self.level_buckets[src.level(i).rank() as usize].push(out.len());
+            out.push(Verdict {
+                span: i,
+                parent,
+                launch,
+            });
         }
 
         // Which levels exist in this run, ordered top-to-bottom.
@@ -560,12 +667,12 @@ impl CorrelationEngine {
             .filter(|l| !self.level_buckets[l.rank() as usize].is_empty())
             .collect();
 
-        for i in base..out.len() {
-            if out[i].parent.is_some() {
+        for v in base..out.len() {
+            if out[v].parent.is_some() {
                 continue; // explicit reference wins
             }
-            let child_level = out[i].span.level;
-            let Some(pos) = levels.iter().position(|l| *l == child_level) else {
+            let si = out[v].span;
+            let Some(pos) = levels.iter().position(|&l| l == src.level(si)) else {
                 continue;
             };
             if pos == 0 {
@@ -576,321 +683,65 @@ impl CorrelationEngine {
             // it with the parent layer span"), then the span's own execution
             // interval — needed when the parent profiler reports
             // device-anchored intervals, as TensorFlow's device tracer does.
-            let mut probes: Vec<(u64, u64)> = vec![out[i].anchor_interval()];
-            let own = (out[i].span.start_ns, out[i].span.end_ns);
-            if probes[0] != own {
-                probes.push(own);
-            }
+            let own = src.interval(si);
+            let anchor = out[v].launch.map_or(own, |l| src.interval(l));
+            let probes = [anchor, own];
+            let probes = if anchor == own {
+                &probes[..1]
+            } else {
+                &probes[..]
+            };
             // Search the nearest level above first; when nothing there
             // contains the span (e.g. a memcpy issued during model-level
             // pre-processing, with no enclosing layer), walk further up the
             // stack.
             let mut candidates: Vec<usize> = Vec::new();
-            'search: for ancestor in (0..pos).rev() {
-                let tree = Self::tree_for(
-                    &mut self.trees,
-                    &mut self.trees_built,
-                    &self.level_buckets,
-                    levels[ancestor],
-                    out,
-                );
-                for &(lo, hi) in &probes {
+            'search: for ancestor in levels[..pos].iter().rev() {
+                let rank = ancestor.rank() as usize;
+                let tree = self.trees[rank].get_or_insert_with(|| {
+                    self.trees_built[rank] += 1;
+                    IntervalTree::build(
+                        self.level_buckets[rank]
+                            .iter()
+                            .map(|&c| {
+                                let (start, end) = src.interval(out[c].span);
+                                Interval::new(start, end, c)
+                            })
+                            .collect(),
+                    )
+                });
+                for &(lo, hi) in probes {
                     candidates = tree.containing(lo, hi).map(|iv| iv.key).collect();
                     // A span never parents itself (possible only with equal
                     // intervals at mixed levels, but be safe).
-                    candidates.retain(|&c| c != i);
+                    candidates.retain(|&c| c != v);
                     if !candidates.is_empty() {
                         break 'search;
                     }
                 }
             }
-            match candidates.len() {
-                0 => {
-                    ambiguities.orphans.push(out[i].span.id);
+            let id_of = |c: usize| src.id(out[c].span);
+            let parent = match candidates[..] {
+                [] => {
+                    ambiguities.orphans.push(src.id(si));
+                    continue;
                 }
-                1 => {
-                    let pid = out[candidates[0]].span.id;
-                    out[i].parent = Some(pid);
-                    out[i].span.parent = Some(pid);
-                }
+                [only] => id_of(only),
                 _ => {
                     // Best effort: tightest containing interval.
                     let best = *candidates
                         .iter()
-                        .min_by_key(|&&c| out[c].span.end_ns - out[c].span.start_ns)
-                        .expect("nonempty");
-                    let all: Vec<SpanId> = candidates.iter().map(|&c| out[c].span.id).collect();
-                    ambiguities.ambiguous.push((out[i].span.id, all));
-                    let pid = out[best].span.id;
-                    out[i].parent = Some(pid);
-                    out[i].span.parent = Some(pid);
-                }
-            }
-        }
-    }
-
-    /// Correlates every run of `store` without materializing a single
-    /// owned [`Span`] — the columnar twin of
-    /// [`CorrelationEngine::correlate`], with identical merge, parent and
-    /// ambiguity semantics (the store-vs-span oracle test pins the
-    /// equivalence). Async roles come from the store's pre-computed
-    /// per-span columns, merged launch tags are arena *references* instead
-    /// of clones, and parents/intervals are column reads, so the pass
-    /// performs no per-span allocation at all.
-    pub fn correlate_store(&mut self, store: &SpanStore) -> StoreCorrelation {
-        let mut out = StoreCorrelation {
-            entries: Vec::with_capacity(store.len()),
-            extra_tags: Vec::new(),
-            ambiguities: AmbiguityReport::default(),
-        };
-        for run in 0..store.run_buckets().len() {
-            self.correlate_store_run(store, run, &mut out);
-        }
-        out
-    }
-
-    /// Store-native twin of [`CorrelationEngine::correlate_run`]; every
-    /// step mirrors the span-based pass index-for-index.
-    fn correlate_store_run(&mut self, store: &SpanStore, run: usize, out: &mut StoreCorrelation) {
-        for bucket in &mut self.level_buckets {
-            bucket.clear();
-        }
-        for tree in &mut self.trees {
-            *tree = None;
-        }
-        let base = out.entries.len();
-        let idxs: &[u32] = &store.run_buckets()[run].1;
-
-        // Classification from the pre-computed async columns — the same
-        // facts `async_role` derives from tags, without the tag walk.
-        let mut roles: Vec<AsyncRole> = Vec::with_capacity(idxs.len());
-        let mut exec_cids: FxHashSet<u64> = FxHashSet::default();
-        for &si in idxs {
-            let info = store.async_info(si);
-            let role = if info.flags & HAS_CID != 0 {
-                match (info.flags & IS_LAUNCH != 0, info.flags & IS_EXEC != 0) {
-                    (true, false) => AsyncRole::Launch(info.cid),
-                    (false, true) => AsyncRole::Execution(info.cid),
-                    _ => AsyncRole::Plain,
-                }
-            } else {
-                AsyncRole::Plain
-            };
-            if let AsyncRole::Execution(cid) = role {
-                exec_cids.insert(cid);
-            }
-            roles.push(role);
-        }
-        // Launch halves kept aside when paired — by store index, no tag
-        // clone (the merged tags stay arena references).
-        struct StoreLaunch {
-            parent: Option<SpanId>,
-            interval: (u64, u64),
-            span: u32,
-        }
-        let mut launches: FxHashMap<u64, StoreLaunch> = FxHashMap::default();
-        for (j, &si) in idxs.iter().enumerate() {
-            if let AsyncRole::Launch(cid) = roles[j] {
-                if exec_cids.contains(&cid) {
-                    launches.insert(
-                        cid,
-                        StoreLaunch {
-                            parent: store.parent_at(si),
-                            interval: store.interval_at(si),
-                            span: si,
-                        },
-                    );
-                }
-            }
-        }
-
-        // Merge pass: paired launches fold into their execution entry
-        // (timing from the execution, parent and missing tags from the
-        // launch — "missing" judged against the execution's tags plus the
-        // extras appended so far, exactly like the growing `merged.tags`).
-        for (j, &si) in idxs.iter().enumerate() {
-            let entry = match roles[j] {
-                AsyncRole::Execution(cid) => {
-                    if let Some(launch) = launches.get(&cid) {
-                        let extras_start = out.extra_tags.len();
-                        let exec_tags = store.tag_range(si);
-                        for lt in store.tag_range(launch.span) {
-                            let key = store.tag_key_at(lt);
-                            let present = exec_tags.clone().any(|t| store.tag_key_at(t) == key)
-                                || out.extra_tags[extras_start..]
-                                    .iter()
-                                    .any(|&e| store.tag_key_at(e as usize) == key);
-                            if !present {
-                                out.extra_tags.push(lt as u32);
-                            }
-                        }
-                        StoreEntry {
-                            span: si,
-                            parent: launch.parent,
-                            launch_interval: Some(launch.interval),
-                            extras: (
-                                extras_start as u32,
-                                (out.extra_tags.len() - extras_start) as u32,
-                            ),
-                        }
-                    } else {
-                        StoreEntry::passthrough(store, si)
-                    }
-                }
-                AsyncRole::Launch(cid) => {
-                    if exec_cids.contains(&cid) {
-                        continue;
-                    }
-                    StoreEntry::passthrough(store, si)
-                }
-                AsyncRole::Plain => StoreEntry::passthrough(store, si),
-            };
-            self.level_buckets[store.level_at(si).rank() as usize].push(out.entries.len());
-            out.entries.push(entry);
-        }
-
-        let levels: Vec<StackLevel> = StackLevel::ALL
-            .iter()
-            .copied()
-            .filter(|l| !self.level_buckets[l.rank() as usize].is_empty())
-            .collect();
-
-        for i in base..out.entries.len() {
-            if out.entries[i].parent.is_some() {
-                continue;
-            }
-            let si = out.entries[i].span;
-            let child_level = store.level_at(si);
-            let Some(pos) = levels.iter().position(|l| *l == child_level) else {
-                continue;
-            };
-            if pos == 0 {
-                continue;
-            }
-            let own = store.interval_at(si);
-            let mut probes: Vec<(u64, u64)> = vec![out.entries[i].launch_interval.unwrap_or(own)];
-            if probes[0] != own {
-                probes.push(own);
-            }
-            let mut candidates: Vec<usize> = Vec::new();
-            'search: for ancestor in (0..pos).rev() {
-                let tree = Self::tree_for_store(
-                    &mut self.trees,
-                    &mut self.trees_built,
-                    &self.level_buckets,
-                    levels[ancestor],
-                    store,
-                    &out.entries,
-                );
-                for &(lo, hi) in &probes {
-                    candidates = tree.containing(lo, hi).map(|iv| iv.key).collect();
-                    candidates.retain(|&c| c != i);
-                    if !candidates.is_empty() {
-                        break 'search;
-                    }
-                }
-            }
-            match candidates.len() {
-                0 => {
-                    out.ambiguities.orphans.push(store.id_at(si));
-                }
-                1 => {
-                    out.entries[i].parent = Some(store.id_at(out.entries[candidates[0]].span));
-                }
-                _ => {
-                    let best = *candidates
-                        .iter()
                         .min_by_key(|&&c| {
-                            let (s, e) = store.interval_at(out.entries[c].span);
-                            e - s
+                            let (start, end) = src.interval(out[c].span);
+                            end - start
                         })
                         .expect("nonempty");
-                    let all: Vec<SpanId> = candidates
-                        .iter()
-                        .map(|&c| store.id_at(out.entries[c].span))
-                        .collect();
-                    out.ambiguities.ambiguous.push((store.id_at(si), all));
-                    out.entries[i].parent = Some(store.id_at(out.entries[best].span));
+                    let all = candidates.iter().map(|&c| id_of(c)).collect();
+                    ambiguities.ambiguous.push((src.id(si), all));
+                    id_of(best)
                 }
-            }
-        }
-    }
-
-    /// [`CorrelationEngine::tree_for`] over store entries: intervals come
-    /// from the store's timestamp columns (execution timing, matching the
-    /// span-based pass).
-    fn tree_for_store<'t>(
-        trees: &'t mut [Option<IntervalTree>; StackLevel::ALL.len()],
-        trees_built: &mut [usize; StackLevel::ALL.len()],
-        level_buckets: &[Vec<usize>; StackLevel::ALL.len()],
-        level: StackLevel,
-        store: &SpanStore,
-        entries: &[StoreEntry],
-    ) -> &'t IntervalTree {
-        let rank = level.rank() as usize;
-        if trees[rank].is_none() {
-            let intervals: Vec<Interval> = level_buckets[rank]
-                .iter()
-                .map(|&i| {
-                    let (s, e) = store.interval_at(entries[i].span);
-                    Interval::new(s, e, i)
-                })
-                .collect();
-            trees_built[rank] += 1;
-            trees[rank] = Some(IntervalTree::build(intervals));
-        }
-        trees[rank].as_ref().expect("just built")
-    }
-
-    /// Returns the interval tree for `level`, building it on first use from
-    /// the run's level bucket. A free function over the split-borrowed
-    /// fields so the caller can keep reading `out` while the tree is alive.
-    fn tree_for<'t>(
-        trees: &'t mut [Option<IntervalTree>; StackLevel::ALL.len()],
-        trees_built: &mut [usize; StackLevel::ALL.len()],
-        level_buckets: &[Vec<usize>; StackLevel::ALL.len()],
-        level: StackLevel,
-        out: &[CorrelatedSpan],
-    ) -> &'t IntervalTree {
-        let rank = level.rank() as usize;
-        if trees[rank].is_none() {
-            let intervals: Vec<Interval> = level_buckets[rank]
-                .iter()
-                .map(|&i| Interval::new(out[i].span.start_ns, out[i].span.end_ns, i))
-                .collect();
-            trees_built[rank] += 1;
-            trees[rank] = Some(IntervalTree::build(intervals));
-        }
-        trees[rank].as_ref().expect("just built")
-    }
-}
-
-/// One correlated span in a [`StoreCorrelation`]: a store index plus the
-/// correlation results (resolved parent, launch interval of a merged async
-/// pair, and any launch tags folded in — kept as arena references, not
-/// clones).
-#[derive(Debug, Clone, Copy)]
-pub struct StoreEntry {
-    /// Index of the underlying span in the correlated [`SpanStore`].
-    pub span: u32,
-    /// Parent after correlation: the span's own explicit parent, the
-    /// merged launch's parent, or a reconstructed one.
-    pub parent: Option<SpanId>,
-    /// `(start_ns, end_ns)` of the merged launch half, when this entry is
-    /// a correlated async pair.
-    pub launch_interval: Option<(u64, u64)>,
-    /// `(start, len)` range into the correlation's extra-tag arena.
-    extras: (u32, u32),
-}
-
-impl StoreEntry {
-    /// An entry that passes the store span through unchanged.
-    fn passthrough(store: &SpanStore, si: u32) -> Self {
-        StoreEntry {
-            span: si,
-            parent: store.parent_at(si),
-            launch_interval: None,
-            extras: (0, 0),
+            };
+            out[v].parent = Some(parent);
         }
     }
 }
@@ -898,18 +749,15 @@ impl StoreEntry {
 /// The result of [`CorrelationEngine::correlate_store`]: correlation
 /// verdicts over a [`SpanStore`], without any owned [`Span`]s.
 ///
-/// Entries reference spans by store index; merged launch tags are indices
-/// into the store's tag arena. [`StoreCorrelation::materialize`] converts
-/// the result into the owned [`CorrelatedTrace`] the analysis and export
-/// layers consume — the output is identical to running
-/// [`CorrelationEngine::correlate`] on the materialized spans (pinned by
-/// the oracle test), but the correlation pass itself touched only columns.
+/// Verdicts reference spans by store index, and a merged pair references
+/// its launch half, whose tags stay in the store's arena.
+/// [`StoreCorrelation::materialize`] is the store's output step: it builds
+/// the owned [`CorrelatedTrace`] the analysis and export layers consume,
+/// identical to running [`CorrelationEngine::correlate`] on the
+/// materialized spans (pinned by the store-vs-span tests).
 #[derive(Debug, Default)]
 pub struct StoreCorrelation {
-    entries: Vec<StoreEntry>,
-    /// Arena indices (into the store's tag arena) of launch tags merged
-    /// into execution entries; sliced per entry via `StoreEntry::extras`.
-    extra_tags: Vec<u32>,
+    entries: Vec<Verdict>,
     /// Parent reconstructions that failed or were ambiguous.
     pub ambiguities: AmbiguityReport,
 }
@@ -925,51 +773,43 @@ impl StoreCorrelation {
         self.entries.is_empty()
     }
 
-    /// The correlated entries, in the same order the span-based engine
-    /// would emit them.
-    pub fn entries(&self) -> &[StoreEntry] {
-        &self.entries
-    }
-
-    /// The launch tags merged into `entry`, as `(key, value)` pairs
-    /// resolved from the store's arena.
-    pub fn extra_tags_of<'s>(
-        &'s self,
-        entry: &StoreEntry,
-        store: &'s SpanStore,
-    ) -> impl Iterator<Item = (String, TagValue)> + 's {
-        let (start, len) = entry.extras;
-        self.extra_tags[start as usize..(start + len) as usize]
-            .iter()
-            .map(move |&arena| store.tag_pair_at(arena as usize))
-    }
-
     /// Materializes the correlation into an owned [`CorrelatedTrace`],
     /// byte-equivalent to the span-based engine's output: each entry's span
     /// is rebuilt from the store with the correlated parent applied and any
-    /// merged launch tags appended in launch order.
+    /// merged launch tags it lacks appended in launch order.
     pub fn materialize(&self, store: &SpanStore) -> CorrelatedTrace {
-        CorrelatedTrace::new(self.materialized_spans(store), self.ambiguities.clone())
+        CorrelatedTrace::new(
+            self.materialized_spans(store).collect(),
+            self.ambiguities.clone(),
+        )
     }
 
     /// The owned correlated spans of [`StoreCorrelation::materialize`],
     /// without the trace indexing — callers concatenating several per-run
-    /// correlations (the incremental window, the daemon's cached prefix)
-    /// collect these and index once at the end.
-    fn materialized_spans(&self, store: &SpanStore) -> Vec<CorrelatedSpan> {
-        self.entries
-            .iter()
-            .map(|entry| {
-                let mut span = store.materialize(entry.span);
-                span.parent = entry.parent;
-                span.tags.extend(self.extra_tags_of(entry, store));
-                CorrelatedSpan {
-                    parent: entry.parent,
-                    launch_interval: entry.launch_interval,
-                    span,
+    /// correlations (the daemon's cached prefix) collect these and index
+    /// once at the end.
+    fn materialized_spans<'s>(
+        &'s self,
+        store: &'s SpanStore,
+    ) -> impl Iterator<Item = CorrelatedSpan> + 's {
+        self.entries.iter().map(move |v| {
+            let mut span = store.materialize(v.span);
+            span.parent = v.parent;
+            let launch_interval = v.launch.map(|l| {
+                for t in store.tag_range(l) {
+                    let key = store.names().resolve(store.tag_key_at(t));
+                    if span.tag(key).is_none() {
+                        span.tags.push(store.tag_pair_at(t));
+                    }
                 }
-            })
-            .collect()
+                store.interval_at(l)
+            });
+            CorrelatedSpan {
+                span,
+                parent: v.parent,
+                launch_interval,
+            }
+        })
     }
 }
 
@@ -1044,9 +884,14 @@ impl StoreCorrelationCache {
             .take_while(|(cached, (tid, idxs))| cached.trace_id == *tid && cached.len == idxs.len())
             .count();
         self.runs.truncate(valid);
-        for (run, (tid, idxs)) in buckets.iter().enumerate().skip(valid) {
+        for (tid, idxs) in &buckets[valid..] {
             let mut correlation = StoreCorrelation::default();
-            engine.correlate_store_run(store, run, &mut correlation);
+            engine.correlate_run(
+                store,
+                idxs.iter().copied(),
+                &mut correlation.entries,
+                &mut correlation.ambiguities,
+            );
             self.passes += 1;
             self.runs.push(CachedRun {
                 trace_id: *tid,

@@ -12,15 +12,23 @@
 //! allocates nothing; a 100k-span ingest performs a few dozen string
 //! allocations instead of several hundred thousand.
 //!
+//! The store is the representation for spans that arrive columnar: daemon
+//! session residency and `.xspb` ingest via
+//! [`crate::export::SpanBinaryReader::read_into_store`]. Spans that arrive
+//! owned (a drained [`Trace`], the incremental correlation window) stay
+//! owned; the correlation pass is the same for both — it reads a store
+//! through the same index-access trait as a span slice — and only the
+//! output step differs.
+//!
 //! The store also pre-computes each span's async-correlation facts (first
 //! `correlation_id` tag, `async_launch` / `async_execution` flags) at push
 //! time, so [`crate::correlate::CorrelationEngine::correlate_store`]
-//! classifies roles with a column scan instead of per-span string-keyed
+//! classifies roles with a column read instead of per-span string-keyed
 //! tag walks. The precomputation replicates
 //! [`crate::span::Span::correlation_id`] /
 //! [`crate::span::Span::is_async_launch`] semantics exactly (first
 //! matching tag wins; `as_u64` accepts `U64` and non-negative `I64`) — the
-//! store-vs-span correlation oracle test pins the equivalence.
+//! store-vs-span correlation tests pin the equivalence.
 //!
 //! Conversion back to the interchange shape is always available:
 //! [`SpanStore::materialize`] rebuilds a byte-identical [`Span`] (tag and

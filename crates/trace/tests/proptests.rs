@@ -281,7 +281,7 @@ fn arb_correlation_forest() -> impl Strategy<Value = Vec<Span>> {
     (
         prop::collection::vec((0u64..9_000, 50u64..2_500, 0u8..4), 0..8),
         prop::collection::vec(
-            (0u8..6, 0u64..10_400, 1u64..400, 0u64..11_000, 1u64..600),
+            (0u8..7, 0u64..10_400, 1u64..400, 0u64..11_000, 1u64..600),
             0..25,
         ),
         1usize..3,
@@ -386,7 +386,7 @@ fn build_run_spans(
             }
             // already-merged capture span: both flags, takes part in no
             // pairing (idempotent re-correlation)
-            _ => out.push(
+            5 => out.push(
                 SpanBuilder::new(format!("premerged{j}"), StackLevel::Kernel, trace_id)
                     .start(xstart)
                     .tag(tag_keys::CORRELATION_ID, cid)
@@ -394,6 +394,36 @@ fn build_run_spans(
                     .tag(tag_keys::ASYNC_EXECUTION, true)
                     .finish(xstart + xlen),
             ),
+            // duplicate correlation ids: two launches share the cid (the
+            // last one wins, with its own interval and tags), and that
+            // launch serves two executions
+            _ => {
+                for (half, at) in [("a", lstart), ("b", lstart + llen)] {
+                    out.push(
+                        SpanBuilder::new(
+                            format!("dup_launch_{half}{j}"),
+                            StackLevel::Kernel,
+                            trace_id,
+                        )
+                        .start(at)
+                        .tag(tag_keys::CORRELATION_ID, cid)
+                        .tag(tag_keys::ASYNC_LAUNCH, true)
+                        .tag("stream", half)
+                        .finish(at + llen),
+                    );
+                    out.push(
+                        SpanBuilder::new(
+                            format!("dup_exec_{half}{j}"),
+                            StackLevel::Kernel,
+                            trace_id,
+                        )
+                        .start(xstart)
+                        .tag(tag_keys::CORRELATION_ID, cid)
+                        .tag(tag_keys::ASYNC_EXECUTION, true)
+                        .finish(xstart + xlen),
+                    );
+                }
+            }
         }
     }
 }

@@ -134,35 +134,6 @@ proptest! {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// The four deprecated entry points must stay byte-identical to the
-    /// `ProfileRequest` spellings their deprecation notes document as
-    /// replacements — across seeds, batches, models, and worker counts.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_match_profile_requests(
-        seed in 0u64..u64::MAX,
-        batch in 1usize..3,
-        model in select(vec!["MobileNet_v1_0.25_128", "MobileNet_v1_0.5_160"]),
-        workers in select(vec![1usize, 4]),
-    ) {
-        let graph = zoo::by_name(model).unwrap().graph(batch);
-        let xsp = Xsp::new(config(seed, 1, Parallelism::Fixed(workers)));
-        prop_assert_eq!(
-            xsp.leveled(&graph).to_span_json(),
-            xsp.run(ProfileRequest::new(&graph)).to_span_json());
-        prop_assert_eq!(
-            xsp.up_to_level(&graph, ProfilingLevel::ModelLayer).to_span_json(),
-            xsp.run(ProfileRequest::new(&graph).level(ProfilingLevel::ModelLayer))
-                .to_span_json());
-        prop_assert_eq!(
-            xsp.model_only(&graph).to_span_json(),
-            xsp.run(ProfileRequest::new(&graph).level(ProfilingLevel::Model))
-                .to_span_json());
-        prop_assert_eq!(
-            xsp.with_gpu(&graph).to_span_json(),
-            xsp.run(ProfileRequest::new(&graph).mode(ProfileMode::ModelAndMetrics))
-                .to_span_json());
-    }
 }
 
 /// The sink-replay path: a cache hit replays the profile's runs to the

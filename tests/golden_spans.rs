@@ -5,7 +5,7 @@
 //!
 //! The snapshot profiles BERT-Base at batch 1 (sequence length 64 keeps the
 //! file reviewable; the span *count* and schema are depth-driven, not
-//! seq-driven) through `Xsp::with_gpu`: one model-level run plus one
+//! seq-driven) in `ProfileMode::ModelAndMetrics`: one model-level run plus one
 //! full-depth metric run, which together emit every span schema the
 //! pipeline produces — model phases, layer spans, kernel launch/execution
 //! spans with metric tags — at a third of the bytes of all four levels.
