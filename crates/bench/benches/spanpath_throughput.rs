@@ -1,9 +1,9 @@
 //! Sustained span-path throughput: the tentpole benchmark for the
 //! arena/SoA [`SpanStore`] and the `.xspb` binary interchange.
 //!
-//! Three families, each at 10k and 100k spans. Every arm runs the same
-//! correlation pass; the arms differ in how spans arrive and in which
-//! output step they take:
+//! Four families, each at 10k and 100k spans. In the first three every
+//! arm runs the same correlation pass; the arms differ in how spans arrive
+//! and in which output step they take:
 //!
 //! * **spanpath** — publish → drain → correlate, the resident hot path.
 //!   The `span` arm drains into a `Trace` (one owned [`Span`] per span,
@@ -19,17 +19,22 @@
 //!   `xspb` arm streams the binary format directly into a store and
 //!   correlates over store indices.
 //!
+//! The fourth, **export**, runs no correlation: it times the JSON writers
+//! alone. The `jsonl` arm writes span-JSON-lines, the `chrome` arm Chrome
+//! trace events, both into an output buffer reused across passes.
+//!
 //! `--quick` (or `XSP_BENCH_QUICK=1`) is the CI smoke lane: reduced
 //! samples, and with `--json <path>` a machine-readable summary of
-//! sustained spans/sec per arm. The run *fails* if `.xspb` ingest does not
-//! sustain at least 5× the JSONL ingest rate at 100k spans — the
-//! interchange format's reason to exist, enforced as a regression gate.
+//! sustained spans/sec per arm (the export arms for information only). The
+//! run *fails* if `.xspb` ingest does not sustain at least 5× the JSONL
+//! ingest rate at 100k spans — the interchange format's reason to exist,
+//! enforced as a regression gate.
 
 use criterion::{BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Instant;
 use xsp_bench::summary::{json_artifact_path, BenchSummary};
-use xsp_trace::export::{SpanBinaryReader, SpanJsonLinesWriter};
+use xsp_trace::export::{ChromeTraceWriter, SpanBinaryReader, SpanJsonLinesWriter};
 use xsp_trace::span::tag_keys;
 use xsp_trace::{
     CorrelationEngine, Span, SpanBuilder, SpanStore, StackLevel, TraceId, Tracer, TracingServer,
@@ -304,6 +309,70 @@ fn bench_ingest(
     g.finish();
 }
 
+/// Writer throughput: the same spans written as span-JSON-lines and as
+/// Chrome trace events into an output `Vec` each arm reuses, so the timed
+/// work is serialization, not output growth.
+fn bench_export(
+    c: &mut Criterion,
+    summary: &mut Option<BenchSummary>,
+    rates: &mut Vec<(String, f64)>,
+    quick: bool,
+) {
+    let samples = if quick { 5 } else { 15 };
+    let mut g = c.benchmark_group("export");
+    g.sample_size(10);
+    for n in [10_000usize, 100_000] {
+        let spans = mk_run_spans(n, 8);
+        let mut jsonl_out = Vec::new();
+        let mut jsonl_pass = || {
+            jsonl_out.clear();
+            let mut w = SpanJsonLinesWriter::new(&mut jsonl_out);
+            for span in &spans {
+                w.write_span(span).expect("Vec writes cannot fail");
+            }
+            black_box(w.written())
+        };
+        let mut chrome_out = Vec::new();
+        let mut chrome_pass = || {
+            chrome_out.clear();
+            let mut w = ChromeTraceWriter::new(&mut chrome_out).expect("Vec writes cannot fail");
+            for span in &spans {
+                w.write_span(span).expect("Vec writes cannot fail");
+            }
+            w.close().expect("Vec writes cannot fail");
+            black_box(w.written())
+        };
+        g.bench_with_input(BenchmarkId::new("jsonl", n), &n, |b, _| {
+            b.iter(&mut jsonl_pass)
+        });
+        g.bench_with_input(BenchmarkId::new("chrome", n), &n, |b, _| {
+            b.iter(&mut chrome_pass)
+        });
+
+        for (label, secs) in [
+            (
+                "jsonl",
+                median_secs(samples, || {
+                    jsonl_pass();
+                }),
+            ),
+            (
+                "chrome",
+                median_secs(samples, || {
+                    chrome_pass();
+                }),
+            ),
+        ] {
+            let rate = n as f64 / secs;
+            rates.push((format!("export/{label}/{n}"), rate));
+            if let Some(summary) = summary.as_mut() {
+                summary.point(format!("export/{label}/{n}"), &[("spans_per_sec", rate)]);
+            }
+        }
+    }
+    g.finish();
+}
+
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick")
         || std::env::var("XSP_BENCH_QUICK")
@@ -318,6 +387,7 @@ fn main() {
     bench_spanpath(&mut criterion, &mut summary, &mut rates, quick);
     bench_incremental(&mut criterion, &mut summary, &mut rates, quick);
     bench_ingest(&mut criterion, &mut summary, &mut rates, quick);
+    bench_export(&mut criterion, &mut summary, &mut rates, quick);
 
     println!("\nsustained span-path throughput (median):");
     for (id, rate) in &rates {

@@ -330,6 +330,32 @@ fn unknown_session_and_bad_payloads_get_structured_errors() {
 }
 
 #[test]
+fn deeply_nested_jsonl_append_is_refused_without_killing_the_daemon() {
+    let handle = daemon(|_| {});
+    let mut c = client(&handle);
+    let session = c.open(&OpenOptions::default()).unwrap();
+    // One 64 KiB line of `[`: an unbounded recursive parser overflows the
+    // connection thread's stack and aborts the whole process.
+    let mut line = vec![b'['; 64 * 1024];
+    line.push(b'\n');
+    let err = c.append_raw(session, &line).unwrap_err();
+    assert_eq!(err.code(), Some("bad_payload"));
+    assert!(
+        err.to_string().contains("recursion limit exceeded"),
+        "names the fault: {err}"
+    );
+
+    // The daemon still serves a fresh session on a fresh connection.
+    let mut fresh = client(&handle);
+    let session = fresh.open(&OpenOptions::default()).unwrap();
+    let ack = fresh.append_spans(session, &mk_spans(3, 0)).unwrap();
+    assert_eq!(ack.stats.resident, 3);
+    let exported = fresh.export(session, ExportFormat::Spans).unwrap();
+    assert_eq!(exported.iter().filter(|&&b| b == b'\n').count(), 3);
+    handle.shutdown();
+}
+
+#[test]
 fn corrupt_binary_appends_are_rejected_atomically() {
     use xsp_daemon::client::spans_to_binary;
     let handle = daemon(|_| {});

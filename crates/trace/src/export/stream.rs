@@ -5,8 +5,9 @@
 //! test, hopeless for sweep-scale traces (a single BERT-Base run already
 //! serializes to ~200 KB; a model-fleet sweep is thousands of runs). Every
 //! writer here instead emits spans *as they arrive*: peak memory is one
-//! span's serialization (one evaluation run's spans for folded stacks,
-//! which need the run's parent tree), independent of total trace size.
+//! reusable line buffer per writer (one evaluation run's spans for folded
+//! stacks, which need the run's parent tree), independent of total trace
+//! size.
 //!
 //! Three formats share one contract:
 //!
@@ -19,6 +20,14 @@
 //! * **folded stacks** — [`FoldedStacksWriter`], Brendan-Gregg format for
 //!   `flamegraph.pl` / speedscope.
 //!
+//! The JSON writers emit bytes directly: no `serde_json` value tree, no
+//! per-field or per-tag allocation. Each owns one line buffer that it
+//! clears, fills with one span (separator included) and hands to the
+//! output in a single `write_all`, so an unbuffered `File` or socket sees
+//! one write per span. The emitted bytes are exactly what the vendored
+//! `serde_json` renders for the same value (field order, string escaping,
+//! float formatting); a proptest keeps the value tree as the oracle.
+//!
 //! The string exporters in [`crate::export`] are thin wrappers over these
 //! writers, so streamed bytes are *identical* to materialized bytes — the
 //! golden tests pin that equivalence, and the engine's determinism contract
@@ -26,7 +35,7 @@
 
 use crate::correlate::CorrelatedTrace;
 use crate::server::Trace;
-use crate::span::{Span, TagValue};
+use crate::span::{Span, StackLevel, TagValue};
 use std::fmt;
 use std::io::{self, BufRead, Write};
 
@@ -36,11 +45,12 @@ use std::io::{self, BufRead, Write};
 pub enum ReadError {
     /// The underlying reader failed.
     Io(io::Error),
-    /// A line failed to parse as span JSON; carries the 1-based line number.
+    /// A line failed to parse as span JSON (or is not UTF-8); carries the
+    /// 1-based line number.
     Parse {
         /// 1-based line number of the offending line.
         line: usize,
-        /// The parse error.
+        /// The parse error; its offset is relative to the line.
         source: serde_json::Error,
     },
 }
@@ -64,11 +74,202 @@ impl From<io::Error> for ReadError {
     }
 }
 
-/// Serializes one span and writes it to `out` — the shared unit of work of
-/// every span-JSON framing. Only this one span's JSON is ever materialized.
-fn write_span(out: &mut impl Write, span: &Span) -> io::Result<()> {
-    let json = serde_json::to_string(span).expect("span serialization cannot fail");
-    out.write_all(json.as_bytes())
+/// Appends `s` as a JSON string literal, escaped like the vendored
+/// `serde_json`: `"`, `\`, `\n`, `\r`, `\t` by name, other control
+/// characters as `\u00xx`, everything else (non-ASCII included) verbatim.
+fn push_str(buf: &mut Vec<u8>, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    buf.push(b'"');
+    let bytes = s.as_bytes();
+    let mut start = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0x00..=0x1f) {
+            continue;
+        }
+        buf.extend_from_slice(&bytes[start..i]);
+        start = i + 1;
+        match b {
+            b'"' => buf.extend_from_slice(b"\\\""),
+            b'\\' => buf.extend_from_slice(b"\\\\"),
+            b'\n' => buf.extend_from_slice(b"\\n"),
+            b'\r' => buf.extend_from_slice(b"\\r"),
+            b'\t' => buf.extend_from_slice(b"\\t"),
+            _ => buf.extend_from_slice(&[
+                b'\\',
+                b'u',
+                b'0',
+                b'0',
+                HEX[usize::from(b >> 4)],
+                HEX[usize::from(b & 0xf)],
+            ]),
+        }
+    }
+    buf.extend_from_slice(&bytes[start..]);
+    buf.push(b'"');
+}
+
+fn push_u64(buf: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    buf.extend_from_slice(&digits[i..]);
+}
+
+fn push_i64(buf: &mut Vec<u8>, v: i64) {
+    if v < 0 {
+        buf.push(b'-');
+    }
+    push_u64(buf, v.unsigned_abs());
+}
+
+/// Appends a float the way `serde_json::Number` displays one: `null` when
+/// non-finite, and integral values keep a `.0` so they re-parse as floats.
+fn push_f64(buf: &mut Vec<u8>, v: f64) {
+    if !v.is_finite() {
+        buf.extend_from_slice(b"null");
+        return;
+    }
+    write!(buf, "{v}").expect("writing to a Vec cannot fail");
+    if v.fract() == 0.0 {
+        buf.extend_from_slice(b".0");
+    }
+}
+
+/// Appends a tag's bare value (a Chrome `args` entry).
+fn push_tag_value(buf: &mut Vec<u8>, v: &TagValue) {
+    match v {
+        TagValue::Str(s) => push_str(buf, s),
+        TagValue::I64(i) => push_i64(buf, *i),
+        TagValue::U64(u) => push_u64(buf, *u),
+        TagValue::F64(f) => push_f64(buf, *f),
+        TagValue::Bool(b) => buf.extend_from_slice(if *b { b"true" } else { b"false" }),
+    }
+}
+
+/// Appends `span` as one span-JSON object: the bytes
+/// `serde_json::to_string(span)` renders, fields in declaration order,
+/// enums externally tagged.
+fn push_span_json(buf: &mut Vec<u8>, span: &Span) {
+    buf.extend_from_slice(b"{\"id\":");
+    push_u64(buf, span.id.0);
+    buf.extend_from_slice(b",\"trace_id\":");
+    push_u64(buf, span.trace_id.0);
+    buf.extend_from_slice(b",\"name\":");
+    push_str(buf, &span.name);
+    buf.extend_from_slice(match span.level {
+        StackLevel::Application => b",\"level\":\"Application\",\"start_ns\":",
+        StackLevel::Model => b",\"level\":\"Model\",\"start_ns\":",
+        StackLevel::Layer => b",\"level\":\"Layer\",\"start_ns\":",
+        StackLevel::Library => b",\"level\":\"Library\",\"start_ns\":",
+        StackLevel::Kernel => b",\"level\":\"Kernel\",\"start_ns\":",
+    });
+    push_u64(buf, span.start_ns);
+    buf.extend_from_slice(b",\"end_ns\":");
+    push_u64(buf, span.end_ns);
+    buf.extend_from_slice(b",\"parent\":");
+    match span.parent {
+        Some(p) => push_u64(buf, p.0),
+        None => buf.extend_from_slice(b"null"),
+    }
+    buf.extend_from_slice(b",\"tags\":[");
+    for (i, (key, value)) in span.tags.iter().enumerate() {
+        if i > 0 {
+            buf.push(b',');
+        }
+        buf.push(b'[');
+        push_str(buf, key);
+        buf.extend_from_slice(match value {
+            TagValue::Str(_) => b",{\"Str\":",
+            TagValue::I64(_) => b",{\"I64\":",
+            TagValue::U64(_) => b",{\"U64\":",
+            TagValue::F64(_) => b",{\"F64\":",
+            TagValue::Bool(_) => b",{\"Bool\":",
+        });
+        push_tag_value(buf, value);
+        buf.extend_from_slice(b"}]");
+    }
+    buf.extend_from_slice(b"],\"logs\":[");
+    for (i, log) in span.logs.iter().enumerate() {
+        if i > 0 {
+            buf.push(b',');
+        }
+        buf.extend_from_slice(b"{\"at_ns\":");
+        push_u64(buf, log.at_ns);
+        buf.extend_from_slice(b",\"message\":");
+        push_str(buf, &log.message);
+        buf.push(b'}');
+    }
+    buf.extend_from_slice(b"]}");
+}
+
+/// One entry of a Chrome event's `args` object.
+#[derive(Clone, Copy)]
+enum Arg<'a> {
+    Id(u64),
+    Tag(&'a TagValue),
+}
+
+/// Appends `span` as one Chrome "X" (complete) event. `args` holds
+/// `span_id`, then `parent` when set, then the tags, with JSON-object
+/// semantics: each key appears once, at its first position, carrying its
+/// last value — so a tag named `span_id` or `parent`, or a repeated tag
+/// key, overrides rather than duplicates.
+fn push_chrome_event(buf: &mut Vec<u8>, span: &Span) {
+    buf.extend_from_slice(b"{\"name\":");
+    push_str(buf, &span.name);
+    buf.extend_from_slice(b",\"cat\":\"");
+    buf.extend_from_slice(span.level.label().as_bytes());
+    buf.extend_from_slice(b"\",\"ph\":\"X\",\"ts\":");
+    push_f64(buf, span.start_ns as f64 / 1e3);
+    buf.extend_from_slice(b",\"dur\":");
+    push_f64(buf, span.duration_ns() as f64 / 1e3);
+    buf.extend_from_slice(b",\"pid\":");
+    push_u64(buf, span.trace_id.0);
+    buf.extend_from_slice(b",\"tid\":");
+    push_u64(buf, u64::from(span.level.rank()));
+    buf.extend_from_slice(b",\"args\":{");
+
+    let fixed = 1 + usize::from(span.parent.is_some());
+    let entry = |i: usize| -> (&str, Arg<'_>) {
+        match (i, span.parent) {
+            (0, _) => ("span_id", Arg::Id(span.id.0)),
+            (1, Some(p)) => ("parent", Arg::Id(p.0)),
+            _ => {
+                let (key, value) = &span.tags[i - fixed];
+                (key, Arg::Tag(value))
+            }
+        }
+    };
+    let n = fixed + span.tags.len();
+    for i in 0..n {
+        let (key, value) = entry(i);
+        if (0..i).any(|j| entry(j).0 == key) {
+            continue;
+        }
+        let value = (i + 1..n)
+            .rev()
+            .map(entry)
+            .find(|(k, _)| *k == key)
+            .map_or(value, |(_, v)| v);
+        // Entry 0 (`span_id`) is never a repeat, so it is always written first.
+        if i > 0 {
+            buf.push(b',');
+        }
+        push_str(buf, key);
+        buf.push(b':');
+        match value {
+            Arg::Id(id) => push_u64(buf, id),
+            Arg::Tag(tag) => push_tag_value(buf, tag),
+        }
+    }
+    buf.extend_from_slice(b"}}");
 }
 
 /// Incremental writer for the span-JSON *array* format — byte-compatible
@@ -86,6 +287,7 @@ fn write_span(out: &mut impl Write, span: &Span) -> io::Result<()> {
 #[derive(Debug)]
 pub struct SpanJsonWriter<W: Write> {
     out: W,
+    line: Vec<u8>,
     written: usize,
 }
 
@@ -93,15 +295,21 @@ impl<W: Write> SpanJsonWriter<W> {
     /// Opens the array.
     pub fn new(mut out: W) -> io::Result<Self> {
         out.write_all(b"[")?;
-        Ok(Self { out, written: 0 })
+        Ok(Self {
+            out,
+            line: Vec::new(),
+            written: 0,
+        })
     }
 
-    /// Appends one span.
+    /// Appends one span (one `write_all`, separator included).
     pub fn write_span(&mut self, span: &Span) -> io::Result<()> {
+        self.line.clear();
         if self.written > 0 {
-            self.out.write_all(b",")?;
+            self.line.push(b',');
         }
-        write_span(&mut self.out, span)?;
+        push_span_json(&mut self.line, span);
+        self.out.write_all(&self.line)?;
         self.written += 1;
         Ok(())
     }
@@ -133,19 +341,26 @@ impl<W: Write> SpanJsonWriter<W> {
 #[derive(Debug)]
 pub struct SpanJsonLinesWriter<W: Write> {
     out: W,
+    line: Vec<u8>,
     written: usize,
 }
 
 impl<W: Write> SpanJsonLinesWriter<W> {
     /// Creates a writer over `out`.
     pub fn new(out: W) -> Self {
-        Self { out, written: 0 }
+        Self {
+            out,
+            line: Vec::new(),
+            written: 0,
+        }
     }
 
-    /// Appends one span as a single line.
+    /// Appends one span as a single line (one `write_all`).
     pub fn write_span(&mut self, span: &Span) -> io::Result<()> {
-        write_span(&mut self.out, span)?;
-        self.out.write_all(b"\n")?;
+        self.line.clear();
+        push_span_json(&mut self.line, span);
+        self.line.push(b'\n');
+        self.out.write_all(&self.line)?;
         self.written += 1;
         Ok(())
     }
@@ -175,12 +390,14 @@ impl<W: Write> SpanJsonLinesWriter<W> {
 
 /// Streaming reader for span-JSON-lines: yields one [`Span`] per line,
 /// holding only the current line in memory. Blank lines are skipped, so
-/// concatenated or hand-edited exports stay readable.
+/// concatenated or hand-edited exports stay readable. A line that is not
+/// UTF-8 is a [`ReadError::Parse`] at that line, offset at its first
+/// invalid byte.
 #[derive(Debug)]
 pub struct SpanJsonLinesReader<R: BufRead> {
     input: R,
     line: usize,
-    buf: String,
+    buf: Vec<u8>,
 }
 
 impl<R: BufRead> SpanJsonLinesReader<R> {
@@ -189,7 +406,7 @@ impl<R: BufRead> SpanJsonLinesReader<R> {
         Self {
             input,
             line: 0,
-            buf: String::new(),
+            buf: Vec::new(),
         }
     }
 }
@@ -201,18 +418,25 @@ impl<R: BufRead> Iterator for SpanJsonLinesReader<R> {
         loop {
             self.buf.clear();
             self.line += 1;
-            match self.input.read_line(&mut self.buf) {
+            match self.input.read_until(b'\n', &mut self.buf) {
                 Ok(0) => return None,
                 Ok(_) => {
-                    let line = self.buf.trim_end_matches(['\n', '\r']);
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    return Some(serde_json::from_str::<Span>(line).map_err(|source| {
-                        ReadError::Parse {
-                            line: self.line,
-                            source,
+                    let parsed = match std::str::from_utf8(&self.buf) {
+                        Ok(text) => {
+                            let text = text.trim_end_matches(['\n', '\r']);
+                            if text.trim().is_empty() {
+                                continue;
+                            }
+                            serde_json::from_str::<Span>(text)
                         }
+                        Err(e) => Err(serde_json::Error::Syntax {
+                            message: "invalid UTF-8".to_owned(),
+                            offset: e.valid_up_to(),
+                        }),
+                    };
+                    return Some(parsed.map_err(|source| ReadError::Parse {
+                        line: self.line,
+                        source,
                     }));
                 }
                 Err(e) => return Some(Err(ReadError::Io(e))),
@@ -228,30 +452,6 @@ pub fn read_span_json_lines<R: BufRead>(input: R) -> Result<Trace, ReadError> {
     Ok(Trace::from_spans(spans))
 }
 
-/// One event in Chrome trace-event format ("X" complete events).
-#[derive(Debug, serde::Serialize)]
-struct ChromeEvent<'a> {
-    name: &'a str,
-    cat: String,
-    ph: &'static str,
-    /// Microseconds (Chrome's unit).
-    ts: f64,
-    dur: f64,
-    pid: u64,
-    tid: u64,
-    args: serde_json::Map<String, serde_json::Value>,
-}
-
-fn tag_to_json(v: &TagValue) -> serde_json::Value {
-    match v {
-        TagValue::Str(s) => serde_json::Value::String(s.clone()),
-        TagValue::I64(i) => serde_json::json!(i),
-        TagValue::U64(u) => serde_json::json!(u),
-        TagValue::F64(f) => serde_json::json!(f),
-        TagValue::Bool(b) => serde_json::Value::Bool(*b),
-    }
-}
-
 /// Incremental writer for Chrome trace-event JSON — byte-compatible with
 /// [`crate::export::to_chrome_trace`], which wraps it. Each stack level maps
 /// to its own "thread" row so the across-stack timeline reads top-down like
@@ -259,6 +459,7 @@ fn tag_to_json(v: &TagValue) -> serde_json::Value {
 #[derive(Debug)]
 pub struct ChromeTraceWriter<W: Write> {
     out: W,
+    line: Vec<u8>,
     written: usize,
 }
 
@@ -266,34 +467,22 @@ impl<W: Write> ChromeTraceWriter<W> {
     /// Opens the `traceEvents` envelope.
     pub fn new(mut out: W) -> io::Result<Self> {
         out.write_all(b"{\"traceEvents\":[")?;
-        Ok(Self { out, written: 0 })
+        Ok(Self {
+            out,
+            line: Vec::new(),
+            written: 0,
+        })
     }
 
-    /// Appends one span as an "X" (complete) event.
+    /// Appends one span as an "X" (complete) event (one `write_all`,
+    /// separator included).
     pub fn write_span(&mut self, span: &Span) -> io::Result<()> {
-        let mut args = serde_json::Map::new();
-        args.insert("span_id".into(), serde_json::json!(span.id.0));
-        if let Some(p) = span.parent {
-            args.insert("parent".into(), serde_json::json!(p.0));
-        }
-        for (k, v) in &span.tags {
-            args.insert(k.clone(), tag_to_json(v));
-        }
-        let event = ChromeEvent {
-            name: &span.name,
-            cat: span.level.to_string(),
-            ph: "X",
-            ts: span.start_ns as f64 / 1e3,
-            dur: span.duration_ns() as f64 / 1e3,
-            pid: span.trace_id.0,
-            tid: span.level.rank() as u64,
-            args,
-        };
+        self.line.clear();
         if self.written > 0 {
-            self.out.write_all(b",")?;
+            self.line.push(b',');
         }
-        let json = serde_json::to_string(&event).expect("chrome event serialization cannot fail");
-        self.out.write_all(json.as_bytes())?;
+        push_chrome_event(&mut self.line, span);
+        self.out.write_all(&self.line)?;
         self.written += 1;
         Ok(())
     }
@@ -472,6 +661,68 @@ mod tests {
             Err(ReadError::Parse { line, .. }) => assert_eq!(line, 3),
             other => panic!("expected parse error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn json_lines_report_invalid_utf8_as_a_parse_error_at_its_line() {
+        let trace = Trace::from_spans(spans());
+        let mut w = SpanJsonLinesWriter::new(Vec::new());
+        w.write_trace(&trace).unwrap();
+        let mut bytes = w.finish().unwrap();
+        bytes.extend_from_slice(b"{\"name\":\"ab\xffcd\"}\n");
+        match read_span_json_lines(&bytes[..]) {
+            Err(ReadError::Parse {
+                line,
+                source: serde_json::Error::Syntax { message, offset },
+            }) => {
+                assert_eq!(line, 3);
+                assert_eq!(offset, 11, "offset of the 0xff byte within the line");
+                assert_eq!(message, "invalid UTF-8");
+            }
+            other => panic!("expected a parse error at line 3, got {other:?}"),
+        }
+    }
+
+    /// A `Write` that accepts everything and counts the calls it receives.
+    #[derive(Default)]
+    struct CountingWrite {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWrite {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn json_writers_make_one_write_per_span() {
+        let trace = Trace::from_spans(spans());
+        let n = trace.len();
+
+        let mut w = SpanJsonWriter::new(CountingWrite::default()).unwrap();
+        w.write_trace(&trace).unwrap();
+        let out = w.finish().unwrap();
+        assert_eq!(out.writes, n + 2, "`[`, one per span, `]`");
+        assert_eq!(out.bytes, crate::export::to_span_json(&trace).as_bytes());
+
+        let mut w = SpanJsonLinesWriter::new(CountingWrite::default());
+        w.write_trace(&trace).unwrap();
+        let out = w.finish().unwrap();
+        assert_eq!(out.writes, n, "one per span, newline included");
+
+        let mut w = ChromeTraceWriter::new(CountingWrite::default()).unwrap();
+        w.write_trace(&trace).unwrap();
+        let out = w.finish().unwrap();
+        assert_eq!(out.writes, n + 2, "envelope open, one per event, close");
+        assert_eq!(out.bytes, crate::export::to_chrome_trace(&trace).as_bytes());
     }
 
     #[test]

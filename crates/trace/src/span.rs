@@ -138,6 +138,17 @@ impl StackLevel {
         }
     }
 
+    /// Lower-case level name, as [`Display`](fmt::Display) prints it.
+    pub(crate) fn label(self) -> &'static str {
+        match self {
+            StackLevel::Application => "application",
+            StackLevel::Model => "model",
+            StackLevel::Layer => "layer",
+            StackLevel::Library => "library",
+            StackLevel::Kernel => "kernel",
+        }
+    }
+
     /// All levels ordered top (Application) to bottom (Kernel).
     pub const ALL: [StackLevel; 5] = [
         StackLevel::Application,
@@ -150,14 +161,7 @@ impl StackLevel {
 
 impl fmt::Display for StackLevel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            StackLevel::Application => "application",
-            StackLevel::Model => "model",
-            StackLevel::Layer => "layer",
-            StackLevel::Library => "library",
-            StackLevel::Kernel => "kernel",
-        };
-        f.write_str(s)
+        f.write_str(self.label())
     }
 }
 

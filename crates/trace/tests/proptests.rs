@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use std::collections::HashMap;
 use xsp_trace::correlate::CorrelatedSpan;
 use xsp_trace::interval::{Interval, IntervalTree};
-use xsp_trace::span::{tag_keys, Span, SpanId};
+use xsp_trace::span::{tag_keys, LogEvent, Span, SpanId, TagValue};
 use xsp_trace::stats::{percentile, trimmed_mean, Summary};
 use xsp_trace::{
     correlate_async_spans, reconstruct_parents, AmbiguityReport, CorrelationEngine, SpanBuilder,
@@ -186,6 +186,169 @@ proptest! {
         prop_assert_eq!(&array, &xsp_trace::export::to_span_json(&trace));
         let reparsed = xsp_trace::export::from_span_json(&array).unwrap();
         prop_assert_eq!(xsp_trace::export::to_span_json(&reparsed), array);
+    }
+}
+
+/// Strings that exercise every branch of the JSON string escaper: quotes,
+/// backslashes, named and `\u00xx` control escapes, DEL (not escaped) and
+/// multi-byte UTF-8.
+const HOSTILE_STRINGS: [&str; 8] = [
+    "",
+    "model_prediction",
+    "say \"hi\"",
+    "back\\slash\\",
+    "ctl\u{1}\u{1f}\u{0}",
+    "tab\tnl\nret\r",
+    "uni⟨code⟩ λ 😀",
+    "del\u{7f}",
+];
+
+fn arb_tag_value() -> impl Strategy<Value = TagValue> {
+    prop_oneof![
+        prop::sample::select(HOSTILE_STRINGS.to_vec()).prop_map(|s| TagValue::Str(s.to_owned())),
+        prop::sample::select(vec![0i64, -1, 42, i64::MIN, i64::MAX]).prop_map(TagValue::I64),
+        prop::sample::select(vec![0u64, 7, u64::MAX]).prop_map(TagValue::U64),
+        prop::sample::select(vec![
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            0.0,
+            1e300,
+            5e-324,
+            3.0,
+            -2.0,
+            0.1,
+            1e-7,
+            123.456,
+        ])
+        .prop_map(TagValue::F64),
+        (-1e12f64..1e12).prop_map(TagValue::F64),
+        prop::sample::select(vec![true, false]).prop_map(TagValue::Bool),
+    ]
+}
+
+/// Arbitrary spans built field by field (not through `SpanBuilder`), so
+/// ids, timestamps and parents reach the integer extremes. Tag keys come
+/// from a small set — including the Chrome writer's own `span_id` and
+/// `parent` — so repeated keys are common.
+fn arb_emit_span() -> impl Strategy<Value = Span> {
+    let tag_keys = vec!["span_id", "parent", "occ", "note", "k\"ey\n", "λ"];
+    (
+        prop::sample::select(vec![0u64, 1, 1 << 40, u64::MAX]),
+        prop::sample::select(vec![0u64, 3, u64::MAX]),
+        prop::sample::select(HOSTILE_STRINGS.to_vec()),
+        0usize..5,
+        prop::sample::select(vec![0u64, 1, 1_500, 123_456_789, u64::MAX - 1_000]),
+        0u64..1_000,
+        prop::sample::select(vec![None, Some(0u64), Some(9), Some(u64::MAX)]),
+        prop::collection::vec((prop::sample::select(tag_keys), arb_tag_value()), 0..8),
+        prop::collection::vec(
+            (
+                prop::sample::select(vec![0u64, 17, u64::MAX]),
+                prop::sample::select(HOSTILE_STRINGS.to_vec()),
+            ),
+            0..3,
+        ),
+    )
+        .prop_map(
+            |(id, trace_id, name, level_ix, start_ns, len, parent, tags, logs)| Span {
+                id: SpanId(id),
+                trace_id: TraceId(trace_id),
+                name: name.to_owned(),
+                level: StackLevel::ALL[level_ix],
+                start_ns,
+                end_ns: start_ns + len,
+                parent: parent.map(SpanId),
+                tags: tags.into_iter().map(|(k, v)| (k.to_owned(), v)).collect(),
+                logs: logs
+                    .into_iter()
+                    .map(|(at_ns, message)| LogEvent {
+                        at_ns,
+                        message: message.to_owned(),
+                    })
+                    .collect(),
+            },
+        )
+}
+
+/// The Chrome event shape the exporter once built as a `serde_json` value
+/// tree before rendering it — kept here as the byte oracle for the direct
+/// emitter.
+#[derive(serde::Serialize)]
+struct OracleChromeEvent<'a> {
+    name: &'a str,
+    cat: String,
+    ph: &'static str,
+    ts: f64,
+    dur: f64,
+    pid: u64,
+    tid: u64,
+    args: serde_json::Map<String, serde_json::Value>,
+}
+
+fn oracle_chrome_event(span: &Span) -> String {
+    let mut args = serde_json::Map::new();
+    args.insert("span_id".into(), serde_json::json!(span.id.0));
+    if let Some(p) = span.parent {
+        args.insert("parent".into(), serde_json::json!(p.0));
+    }
+    for (k, v) in &span.tags {
+        let value = match v {
+            TagValue::Str(s) => serde_json::Value::String(s.clone()),
+            TagValue::I64(i) => serde_json::json!(i),
+            TagValue::U64(u) => serde_json::json!(u),
+            TagValue::F64(f) => serde_json::json!(f),
+            TagValue::Bool(b) => serde_json::Value::Bool(*b),
+        };
+        args.insert(k.clone(), value);
+    }
+    serde_json::to_string(&OracleChromeEvent {
+        name: &span.name,
+        cat: span.level.to_string(),
+        ph: "X",
+        ts: span.start_ns as f64 / 1e3,
+        dur: span.duration_ns() as f64 / 1e3,
+        pid: span.trace_id.0,
+        tid: span.level.rank() as u64,
+        args,
+    })
+    .unwrap()
+}
+
+proptest! {
+    /// The direct JSON emitters write exactly the bytes the `serde_json`
+    /// value tree renders: span JSON against `serde_json::to_string(span)`,
+    /// Chrome events against the value-tree event above (key order of
+    /// first occurrence, last value wins). Unlike the round-trip fixpoint
+    /// above, this catches a formatting change shared by writer and reader.
+    #[test]
+    fn direct_emitters_match_the_value_tree(spans in prop::collection::vec(arb_emit_span(), 1..12)) {
+        use xsp_trace::export::{ChromeTraceWriter, SpanJsonLinesWriter, SpanJsonWriter};
+
+        let mut lines = SpanJsonLinesWriter::new(Vec::new());
+        let mut array = SpanJsonWriter::new(Vec::new()).unwrap();
+        let mut chrome = ChromeTraceWriter::new(Vec::new()).unwrap();
+        for span in &spans {
+            lines.write_span(span).unwrap();
+            array.write_span(span).unwrap();
+            chrome.write_span(span).unwrap();
+        }
+
+        let want: String = spans
+            .iter()
+            .map(|s| serde_json::to_string(s).unwrap() + "\n")
+            .collect();
+        prop_assert_eq!(String::from_utf8(lines.finish().unwrap()).unwrap(), want);
+        prop_assert_eq!(
+            String::from_utf8(array.finish().unwrap()).unwrap(),
+            serde_json::to_string(&spans).unwrap()
+        );
+        let events: Vec<String> = spans.iter().map(oracle_chrome_event).collect();
+        prop_assert_eq!(
+            String::from_utf8(chrome.finish().unwrap()).unwrap(),
+            format!("{{\"traceEvents\":[{}]}}", events.join(","))
+        );
     }
 }
 
