@@ -17,7 +17,8 @@
 //! * **ingest** — parse → correlate from saved capture bytes, the offline
 //!   path. The `jsonl` arm parses span-JSON-lines into owned spans; the
 //!   `xspb` arm streams the binary format directly into a store and
-//!   correlates over store indices.
+//!   correlates over store indices. At 100k spans the read half of each
+//!   arm is also timed alone (`ingest_read/*`, for information only).
 //!
 //! The fourth, **export**, runs no correlation: it times the JSON writers
 //! alone. The `jsonl` arm writes span-JSON-lines, the `chrome` arm Chrome
@@ -25,10 +26,10 @@
 //!
 //! `--quick` (or `XSP_BENCH_QUICK=1`) is the CI smoke lane: reduced
 //! samples, and with `--json <path>` a machine-readable summary of
-//! sustained spans/sec per arm (the export arms for information only). The
-//! run *fails* if `.xspb` ingest does not sustain at least 5× the JSONL
-//! ingest rate at 100k spans — the interchange format's reason to exist,
-//! enforced as a regression gate.
+//! sustained spans/sec per arm (the export and `ingest_read` arms for
+//! information only). The run *fails* if `.xspb` ingest does not sustain
+//! at least 5× the JSONL ingest rate at 100k spans — the interchange
+//! format's reason to exist, enforced as a regression gate.
 
 use criterion::{BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -303,6 +304,38 @@ fn bench_ingest(
             rates.push((format!("ingest/{label}/{n}"), rate));
             if let Some(summary) = summary.as_mut() {
                 summary.point(format!("ingest/{label}/{n}"), &[("spans_per_sec", rate)]);
+            }
+        }
+
+        // The read half of each arm alone, for information: it shows how
+        // much of the gated ratio is parsing rather than correlation.
+        if n == 100_000 {
+            for (label, secs) in [
+                (
+                    "jsonl",
+                    median_secs(samples, || {
+                        black_box(
+                            xsp_trace::export::read_span_json_lines(&jsonl[..])
+                                .expect("own JSONL parses"),
+                        );
+                    }),
+                ),
+                (
+                    "xspb",
+                    median_secs(samples, || {
+                        let mut store = SpanStore::with_capacity(n);
+                        SpanBinaryReader::new(&xspb[..])
+                            .read_into_store(&mut store)
+                            .expect("own encoding parses");
+                        black_box(store);
+                    }),
+                ),
+            ] {
+                let rate = n as f64 / secs;
+                rates.push((format!("ingest_read/{label}"), rate));
+                if let Some(summary) = summary.as_mut() {
+                    summary.point(format!("ingest_read/{label}"), &[("spans_per_sec", rate)]);
+                }
             }
         }
     }

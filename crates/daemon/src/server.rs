@@ -35,6 +35,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xsp_core::export::{ExportFormat, ExportSink};
+use xsp_trace::export::{SpanBinaryReader, SpanJsonLinesReader};
+use xsp_trace::Span;
 
 /// Capacity of the process-wide export byte cache (finished exports, all
 /// sessions, all formats). FIFO-evicted per shard once full.
@@ -485,22 +487,21 @@ fn handle_frame(
             };
             // Batch encoding is sniffed per append: `.xspb` span binary
             // (magic-prefixed) or span-JSON-lines, so one session can mix
-            // producers.
+            // producers. Spans are collected as read: a `Trace` would build
+            // a per-run index that the session never uses.
             let body = &frame.payload[8..];
-            let spans = if xsp_trace::export::is_xspb_prefix(body) {
-                match xsp_trace::export::read_span_binary(body) {
-                    Ok(trace) => trace.into_spans(),
-                    Err(e) => {
-                        return conn.reply_err("bad_payload", &format!("span binary: {e}"));
-                    }
-                }
+            let spans: Result<Vec<Span>, String> = if xsp_trace::export::is_xspb_prefix(body) {
+                SpanBinaryReader::new(body)
+                    .collect::<Result<_, _>>()
+                    .map_err(|e| format!("span binary: {e}"))
             } else {
-                match xsp_trace::export::read_span_json_lines(body) {
-                    Ok(trace) => trace.into_spans(),
-                    Err(e) => {
-                        return conn.reply_err("bad_payload", &format!("span JSONL: {e}"));
-                    }
-                }
+                SpanJsonLinesReader::new(body)
+                    .collect::<Result<_, _>>()
+                    .map_err(|e| format!("span JSONL: {e}"))
+            };
+            let spans = match spans {
+                Ok(spans) => spans,
+                Err(msg) => return conn.reply_err("bad_payload", &msg),
             };
             let appended = session.lock().append(spans);
             match appended {

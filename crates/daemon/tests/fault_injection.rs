@@ -356,6 +356,52 @@ fn deeply_nested_jsonl_append_is_refused_without_killing_the_daemon() {
 }
 
 #[test]
+fn inverted_span_append_is_refused_and_the_session_stays_usable() {
+    let handle = daemon(|_| {});
+    let mut c = client(&handle);
+    let session = c.open(&OpenOptions::default()).unwrap();
+    // A Model span that ends before it starts, plus a parentless Layer
+    // span inside its claimed range: accepted, it would make every later
+    // Export of the session panic in duration arithmetic.
+    let mut model = SpanBuilder::new("predict", StackLevel::Model, TraceId(1))
+        .start(100)
+        .finish(500);
+    (model.start_ns, model.end_ns) = (500, 100);
+    let layer = SpanBuilder::new("conv", StackLevel::Layer, TraceId(1))
+        .start(200)
+        .finish(300);
+    let batch = [model, layer];
+
+    let err = c.append_spans(session, &batch).unwrap_err();
+    assert_eq!(err.code(), Some("bad_payload"));
+    assert!(
+        err.to_string().contains("line 1") && err.to_string().contains("ends before it starts"),
+        "names the line and the fault: {err}"
+    );
+    let err = c.append_spans_binary(session, &batch).unwrap_err();
+    assert_eq!(err.code(), Some("bad_payload"));
+    assert!(
+        err.to_string().contains("ends before it starts"),
+        "names the fault: {err}"
+    );
+
+    // The same session still takes a valid batch and exports it.
+    let ack = c.append_spans(session, &mk_spans(3, 0)).unwrap();
+    assert_eq!(ack.stats.resident, 3);
+    let exported = c.export(session, ExportFormat::Spans).unwrap();
+    assert_eq!(exported.iter().filter(|&&b| b == b'\n').count(), 3);
+    assert!(!c.export(session, ExportFormat::Chrome).unwrap().is_empty());
+
+    // So does a fresh session on a fresh connection.
+    let mut fresh = client(&handle);
+    let session = fresh.open(&OpenOptions::default()).unwrap();
+    fresh.append_spans(session, &mk_spans(2, 10)).unwrap();
+    let exported = fresh.export(session, ExportFormat::Folded).unwrap();
+    assert!(!exported.is_empty());
+    handle.shutdown();
+}
+
+#[test]
 fn corrupt_binary_appends_are_rejected_atomically() {
     use xsp_daemon::client::spans_to_binary;
     let handle = daemon(|_| {});

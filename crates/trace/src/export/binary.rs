@@ -101,7 +101,8 @@ pub enum BinaryReadError {
     BadSymbol(u32),
     /// A name or log message that is not valid UTF-8.
     Utf8,
-    /// A structurally invalid record (fields disagree with the payload).
+    /// An invalid record: its fields disagree with the payload, or its
+    /// span ends before it starts.
     Malformed(&'static str),
 }
 
@@ -640,6 +641,11 @@ fn decode_head(payload: &[u8]) -> Result<(SpanHead, Cursor<'_>), BinaryReadError
     };
     let start_ns = c.u64("span record missing start")?;
     let end_ns = c.u64("span record missing end")?;
+    // Structurally fine, but every duration downstream subtracts the
+    // start from the end.
+    if end_ns < start_ns {
+        return Err(BinaryReadError::Malformed("span ends before it starts"));
+    }
     let tag_count = c.u32("span record missing tag count")?;
     // A tag is at least 5 bytes (symbol + kind); reject counts the payload
     // cannot hold before anything reserves capacity on their behalf.
@@ -848,6 +854,27 @@ mod tests {
         for (i, s) in spans.iter().enumerate() {
             assert_eq!(&store.materialize(i as u32), s);
         }
+    }
+
+    #[test]
+    fn a_span_that_ends_before_it_starts_is_malformed() {
+        let mut spans = sample();
+        spans[1].start_ns = 500;
+        spans[1].end_ns = 100;
+        let bytes = spans_to_binary(&spans);
+        let mut reader = SpanBinaryReader::new(&bytes[..]);
+        assert!(reader.next_span().unwrap().is_some());
+        assert!(matches!(
+            reader.next_span(),
+            Err(BinaryReadError::Malformed("span ends before it starts"))
+        ));
+
+        let mut store = SpanStore::new();
+        assert!(matches!(
+            SpanBinaryReader::new(&bytes[..]).read_into_store(&mut store),
+            Err(BinaryReadError::Malformed("span ends before it starts"))
+        ));
+        assert_eq!(store.len(), 1, "the inverted span never reaches the store");
     }
 
     #[test]

@@ -28,6 +28,19 @@
 //! `serde_json` renders for the same value (field order, string escaping,
 //! float formatting); a proptest keeps the value tree as the oracle.
 //!
+//! [`SpanJsonLinesReader`] is the writers' inverse and builds no value tree
+//! either: it parses each line straight into a [`Span`], in any field
+//! order, with JSON whitespace anywhere, every escape and the vendored
+//! parser's number rules, sizing tag and log vectors exactly. Its hand-off
+//! rule: a line whose meaning depends on value-tree rules (a duplicate,
+//! unknown or missing key, a mistyped value, a tag object without exactly
+//! one key, `{"F64":null}`, any syntax error) goes to
+//! `serde_json::from_str::<Span>` instead. So the lines it accepts, the
+//! spans it builds and every error it reports (message and offset) are
+//! the value tree's by construction, and a proptest checks it against that
+//! oracle on bent writer lines. On top, it refuses a span that ends before
+//! it starts.
+//!
 //! The string exporters in [`crate::export`] are thin wrappers over these
 //! writers, so streamed bytes are *identical* to materialized bytes — the
 //! golden tests pin that equivalence, and the engine's determinism contract
@@ -35,7 +48,8 @@
 
 use crate::correlate::CorrelatedTrace;
 use crate::server::Trace;
-use crate::span::{Span, StackLevel, TagValue};
+use crate::span::{LogEvent, Span, SpanId, StackLevel, TagValue, TraceId};
+use std::borrow::Cow;
 use std::fmt;
 use std::io::{self, BufRead, Write};
 
@@ -207,6 +221,389 @@ fn push_span_json(buf: &mut Vec<u8>, span: &Span) {
         buf.push(b'}');
     }
     buf.extend_from_slice(b"]}");
+}
+
+/// Parses one span-JSON object straight into a [`Span`] — the inverse of
+/// [`push_span_json`], with no value tree in between — or returns `None`
+/// to hand the line to `serde_json::from_str::<Span>`.
+///
+/// It takes fields in any order, JSON whitespace anywhere, every escape
+/// the vendored parser takes, and numbers by that parser's rules, so on
+/// every line it accepts it builds exactly the span the value tree would.
+/// It declines wherever the outcome hinges on value-tree semantics: a
+/// duplicate, unknown or missing key, a mistyped value, a tag object
+/// without exactly one key, `{"F64":null}`, and any syntax error. The
+/// caller's fallback then yields today's span or today's error, offset
+/// and message included. `tags` and `logs` are scratch space, reused
+/// across calls so the span's own vectors are allocated at their exact
+/// length.
+fn parse_span_json(
+    text: &str,
+    tags: &mut Vec<(String, TagValue)>,
+    logs: &mut Vec<LogEvent>,
+) -> Option<Span> {
+    tags.clear();
+    logs.clear();
+    let mut p = JsonCursor::new(text);
+    let (mut id, mut trace_id, mut name, mut level) = (None, None, None, None);
+    let (mut start_ns, mut end_ns, mut parent) = (None, None, None);
+    let (mut has_tags, mut has_logs) = (false, false);
+    p.object(|p, key| {
+        match key {
+            "id" if id.is_none() => id = Some(SpanId(p.u64()?)),
+            "trace_id" if trace_id.is_none() => trace_id = Some(TraceId(p.u64()?)),
+            "name" if name.is_none() => name = Some(p.string()?.into_owned()),
+            "level" if level.is_none() => {
+                level = Some(match &*p.string()? {
+                    "Application" => StackLevel::Application,
+                    "Model" => StackLevel::Model,
+                    "Layer" => StackLevel::Layer,
+                    "Library" => StackLevel::Library,
+                    "Kernel" => StackLevel::Kernel,
+                    _ => return None,
+                })
+            }
+            "start_ns" if start_ns.is_none() => start_ns = Some(p.u64()?),
+            "end_ns" if end_ns.is_none() => end_ns = Some(p.u64()?),
+            "parent" if parent.is_none() => parent = Some(p.null_or_u64()?.map(SpanId)),
+            "tags" if !has_tags => {
+                has_tags = true;
+                p.array(|p| {
+                    tags.push(p.tag()?);
+                    Some(())
+                })?;
+            }
+            "logs" if !has_logs => {
+                has_logs = true;
+                p.array(|p| {
+                    logs.push(p.log()?);
+                    Some(())
+                })?;
+            }
+            // A repeated or unknown key.
+            _ => return None,
+        }
+        Some(())
+    })?;
+    if !(has_tags && has_logs && p.at_end()) {
+        return None;
+    }
+    Some(Span {
+        id: id?,
+        trace_id: trace_id?,
+        name: name?,
+        level: level?,
+        start_ns: start_ns?,
+        end_ns: end_ns?,
+        parent: parent?,
+        tags: take_exact(tags),
+        logs: take_exact(logs),
+    })
+}
+
+/// Moves `scratch`'s items into a vector of exactly their length, leaving
+/// `scratch` empty with its capacity kept for the next line.
+fn take_exact<T>(scratch: &mut Vec<T>) -> Vec<T> {
+    let mut out = Vec::with_capacity(scratch.len());
+    out.append(scratch);
+    out
+}
+
+/// Cursor of [`parse_span_json`]. Every method returns `None` where the
+/// line needs the value tree's judgement.
+struct JsonCursor<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl<'a> JsonCursor<'a> {
+    fn new(text: &'a str) -> Self {
+        Self { text, pos: 0 }
+    }
+
+    fn byte(&self, at: usize) -> Option<u8> {
+        self.text.as_bytes().get(at).copied()
+    }
+
+    /// Skips JSON whitespace, then returns the next byte without taking it.
+    fn peek(&mut self) -> Option<u8> {
+        while matches!(self.byte(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+        self.byte(self.pos)
+    }
+
+    /// Skips whitespace and takes `byte`.
+    fn eat(&mut self, byte: u8) -> Option<()> {
+        (self.peek()? == byte).then(|| self.pos += 1)
+    }
+
+    fn at_end(&mut self) -> bool {
+        self.peek().is_none()
+    }
+
+    /// Skips whitespace and takes `word` if it comes next.
+    fn literal(&mut self, word: &str) -> bool {
+        self.peek();
+        let found = self.text.as_bytes()[self.pos..].starts_with(word.as_bytes());
+        if found {
+            self.pos += word.len();
+        }
+        found
+    }
+
+    /// An object, each member's value parsed by `member` given its key.
+    fn object(&mut self, mut member: impl FnMut(&mut Self, &str) -> Option<()>) -> Option<()> {
+        self.eat(b'{')?;
+        if self.peek()? == b'}' {
+            self.pos += 1;
+            return Some(());
+        }
+        loop {
+            let key = self.string()?;
+            self.eat(b':')?;
+            member(self, &key)?;
+            match self.peek()? {
+                b',' => self.pos += 1,
+                b'}' => {
+                    self.pos += 1;
+                    return Some(());
+                }
+                _ => return None,
+            }
+        }
+    }
+
+    /// An array, each element parsed by `element`.
+    fn array(&mut self, mut element: impl FnMut(&mut Self) -> Option<()>) -> Option<()> {
+        self.eat(b'[')?;
+        if self.peek()? == b']' {
+            self.pos += 1;
+            return Some(());
+        }
+        loop {
+            element(self)?;
+            match self.peek()? {
+                b',' => self.pos += 1,
+                b']' => {
+                    self.pos += 1;
+                    return Some(());
+                }
+                _ => return None,
+            }
+        }
+    }
+
+    /// A string, borrowed from the line unless it holds an escape.
+    fn string(&mut self) -> Option<Cow<'a, str>> {
+        self.eat(b'"')?;
+        let bytes = self.text.as_bytes();
+        let start = self.pos;
+        let mut end = start;
+        loop {
+            match *bytes.get(end)? {
+                b'"' => {
+                    self.pos = end + 1;
+                    return Some(Cow::Borrowed(&self.text[start..end]));
+                }
+                b'\\' => break,
+                _ => end += 1,
+            }
+        }
+        // Find the closing quote first: escapes only shrink, so the raw
+        // length sizes the decoded string in one allocation.
+        while bytes.get(end)? != &b'"' {
+            end += if bytes[end] == b'\\' { 2 } else { 1 };
+        }
+        let mut out = String::with_capacity(end - start);
+        let mut at = start;
+        while at < end {
+            let run = bytes[at..end]
+                .iter()
+                .position(|&b| b == b'\\')
+                .map_or(end, |i| at + i);
+            out.push_str(&self.text[at..run]);
+            if run == end {
+                break;
+            }
+            at = run + 2;
+            out.push(match bytes[run + 1] {
+                b'"' => '"',
+                b'\\' => '\\',
+                b'/' => '/',
+                b'b' => '\u{8}',
+                b'f' => '\u{c}',
+                b'n' => '\n',
+                b'r' => '\r',
+                b't' => '\t',
+                b'u' => {
+                    let hi = self.hex4(at)?;
+                    at += 4;
+                    let code = if (0xD800..0xDC00).contains(&hi) {
+                        if self.byte(at)? != b'\\' || self.byte(at + 1)? != b'u' {
+                            return None;
+                        }
+                        let lo = self.hex4(at + 2)?;
+                        if !(0xDC00..0xE000).contains(&lo) {
+                            return None;
+                        }
+                        at += 6;
+                        0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+                    } else {
+                        hi
+                    };
+                    char::from_u32(code)?
+                }
+                _ => return None,
+            });
+        }
+        self.pos = end + 1;
+        Some(Cow::Owned(out))
+    }
+
+    /// Four hex digits at `at` (the vendored parser also takes a `+`
+    /// sign there; such lines are declined).
+    fn hex4(&self, at: usize) -> Option<u32> {
+        let digits = self.text.as_bytes().get(at..at + 4)?;
+        digits
+            .iter()
+            .try_fold(0, |code, &b| Some(code << 4 | char::from(b).to_digit(16)?))
+    }
+
+    /// A number's text, scanned exactly as the vendored parser scans it,
+    /// and whether it is written as a float.
+    fn number(&mut self) -> Option<(&'a str, bool)> {
+        let digits = |p: &mut Self| {
+            while matches!(p.byte(p.pos), Some(b'0'..=b'9')) {
+                p.pos += 1;
+            }
+        };
+        let first = self.peek()?;
+        let start = self.pos;
+        match first {
+            b'-' => self.pos += 1,
+            b'0'..=b'9' => {}
+            _ => return None,
+        }
+        digits(self);
+        let mut is_float = false;
+        if self.byte(self.pos) == Some(b'.') {
+            is_float = true;
+            self.pos += 1;
+            digits(self);
+        }
+        if matches!(self.byte(self.pos), Some(b'e' | b'E')) {
+            is_float = true;
+            self.pos += 1;
+            if matches!(self.byte(self.pos), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            digits(self);
+        }
+        Some((&self.text[start..self.pos], is_float))
+    }
+
+    /// A `u64` field: an integer the vendored parser reads as `PosInt`.
+    fn u64(&mut self) -> Option<u64> {
+        let (text, is_float) = self.number()?;
+        if is_float {
+            return None;
+        }
+        if text.len() <= 19 && text.bytes().all(|b| b.is_ascii_digit()) {
+            // Nineteen digits cannot overflow; `str::parse` would agree.
+            return Some(text.bytes().fold(0, |v, b| v * 10 + u64::from(b - b'0')));
+        }
+        text.parse().ok()
+    }
+
+    /// An `I64` tag value: `PosInt` within `i64`, or `NegInt`.
+    fn i64(&mut self) -> Option<i64> {
+        let (text, is_float) = self.number()?;
+        if is_float {
+            return None;
+        }
+        match text.parse::<u64>() {
+            Ok(v) => i64::try_from(v).ok(),
+            Err(_) => text.parse().ok(),
+        }
+    }
+
+    /// An `F64` tag value: any number, integers converted through the
+    /// `u64` → `i64` → `f64` ladder the value tree climbs (so `-0` is
+    /// `+0.0`).
+    fn f64(&mut self) -> Option<f64> {
+        let (text, is_float) = self.number()?;
+        if !is_float {
+            if let Ok(v) = text.parse::<u64>() {
+                return Some(v as f64);
+            }
+            if let Ok(v) = text.parse::<i64>() {
+                return Some(v as f64);
+            }
+        }
+        text.parse().ok()
+    }
+
+    fn null_or_u64(&mut self) -> Option<Option<u64>> {
+        if self.literal("null") {
+            return Some(None);
+        }
+        self.u64().map(Some)
+    }
+
+    fn bool(&mut self) -> Option<bool> {
+        if self.literal("true") {
+            Some(true)
+        } else if self.literal("false") {
+            Some(false)
+        } else {
+            None
+        }
+    }
+
+    /// One `[key,{"Variant":value}]` tag.
+    fn tag(&mut self) -> Option<(String, TagValue)> {
+        self.eat(b'[')?;
+        let key = self.string()?.into_owned();
+        self.eat(b',')?;
+        let mut value = None;
+        self.object(|p, variant| {
+            if value.is_some() {
+                return None;
+            }
+            value = Some(match variant {
+                "Str" => TagValue::Str(p.string()?.into_owned()),
+                "I64" => TagValue::I64(p.i64()?),
+                "U64" => TagValue::U64(p.u64()?),
+                "F64" => TagValue::F64(p.f64()?),
+                "Bool" => TagValue::Bool(p.bool()?),
+                _ => return None,
+            });
+            Some(())
+        })?;
+        self.eat(b']')?;
+        Some((key, value?))
+    }
+
+    /// One `{"at_ns":…,"message":…}` log entry.
+    fn log(&mut self) -> Option<LogEvent> {
+        let (mut at_ns, mut message) = (None, None);
+        self.object(|p, key| match key {
+            "at_ns" if at_ns.is_none() => {
+                at_ns = Some(p.u64()?);
+                Some(())
+            }
+            "message" if message.is_none() => {
+                message = Some(p.string()?.into_owned());
+                Some(())
+            }
+            _ => None,
+        })?;
+        Some(LogEvent {
+            at_ns: at_ns?,
+            message: message?,
+        })
+    }
 }
 
 /// One entry of a Chrome event's `args` object.
@@ -392,12 +789,16 @@ impl<W: Write> SpanJsonLinesWriter<W> {
 /// holding only the current line in memory. Blank lines are skipped, so
 /// concatenated or hand-edited exports stay readable. A line that is not
 /// UTF-8 is a [`ReadError::Parse`] at that line, offset at its first
-/// invalid byte.
+/// invalid byte; so is a span that ends before it starts. Lines are
+/// parsed with no value tree, under the hand-off rule in the
+/// [module docs](self).
 #[derive(Debug)]
 pub struct SpanJsonLinesReader<R: BufRead> {
     input: R,
     line: usize,
     buf: Vec<u8>,
+    tags: Vec<(String, TagValue)>,
+    logs: Vec<LogEvent>,
 }
 
 impl<R: BufRead> SpanJsonLinesReader<R> {
@@ -407,8 +808,22 @@ impl<R: BufRead> SpanJsonLinesReader<R> {
             input,
             line: 0,
             buf: Vec::new(),
+            tags: Vec::new(),
+            logs: Vec::new(),
         }
     }
+}
+
+/// Refuses a span that ends before it starts: every duration computed
+/// downstream subtracts its start from its end.
+fn check_interval(span: Span) -> Result<Span, serde_json::Error> {
+    if span.end_ns < span.start_ns {
+        return Err(serde_json::Error::Data(format!(
+            "span {} ends before it starts: end_ns {} < start_ns {}",
+            span.id.0, span.end_ns, span.start_ns
+        )));
+    }
+    Ok(span)
 }
 
 impl<R: BufRead> Iterator for SpanJsonLinesReader<R> {
@@ -427,7 +842,11 @@ impl<R: BufRead> Iterator for SpanJsonLinesReader<R> {
                             if text.trim().is_empty() {
                                 continue;
                             }
-                            serde_json::from_str::<Span>(text)
+                            match parse_span_json(text, &mut self.tags, &mut self.logs) {
+                                Some(span) => Ok(span),
+                                None => serde_json::from_str::<Span>(text),
+                            }
+                            .and_then(check_interval)
                         }
                         Err(e) => Err(serde_json::Error::Syntax {
                             message: "invalid UTF-8".to_owned(),
@@ -680,6 +1099,119 @@ mod tests {
                 assert_eq!(message, "invalid UTF-8");
             }
             other => panic!("expected a parse error at line 3, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn json_lines_refuse_a_span_that_ends_before_it_starts() {
+        let mut spans = spans();
+        spans[1].start_ns = 500;
+        spans[1].end_ns = 100;
+        let mut w = SpanJsonLinesWriter::new(Vec::new());
+        for span in &spans {
+            w.write_span(span).unwrap();
+        }
+        let bytes = w.finish().unwrap();
+        match read_span_json_lines(&bytes[..]) {
+            Err(ReadError::Parse {
+                line,
+                source: serde_json::Error::Data(message),
+            }) => {
+                assert_eq!(line, 2);
+                assert!(message.contains("end_ns 100 < start_ns 500"), "{message}");
+            }
+            other => panic!("expected a parse error at line 2, got {other:?}"),
+        }
+    }
+
+    /// Every line the writer emits, also re-spaced or with an escaped key,
+    /// is taken by the direct parser, never handed to the value tree —
+    /// except a non-finite `F64`, written as `null`, which the value tree
+    /// refuses as well.
+    #[test]
+    fn direct_parser_takes_every_line_the_writer_emits() {
+        const HOSTILE: [&str; 8] = [
+            "",
+            "model_prediction",
+            "say \"hi\"",
+            "back\\slash\\",
+            "ctl\u{1}\u{1f}\u{0}",
+            "tab\tnl\nret\r",
+            "uni⟨code⟩ λ 😀",
+            "del\u{7f}",
+        ];
+        let mut values: Vec<TagValue> = HOSTILE
+            .iter()
+            .map(|s| TagValue::Str((*s).to_owned()))
+            .collect();
+        values.extend([i64::MIN, -1, 0, i64::MAX].map(TagValue::I64));
+        values.extend([0, 7, u64::MAX].map(TagValue::U64));
+        values.extend(
+            [
+                -0.0,
+                0.0,
+                5e-324,
+                1e300,
+                -2.0,
+                0.1,
+                123.456,
+                f64::MAX,
+                f64::MIN,
+            ]
+            .map(TagValue::F64),
+        );
+        values.extend([true, false].map(TagValue::Bool));
+
+        let (mut tags, mut logs) = (Vec::new(), Vec::new());
+        let mut line = Vec::new();
+        for (i, name) in HOSTILE.iter().enumerate() {
+            let i = i as u64;
+            let span = Span {
+                id: SpanId(u64::MAX - i),
+                trace_id: TraceId(i),
+                name: (*name).to_owned(),
+                level: StackLevel::ALL[i as usize % StackLevel::ALL.len()],
+                start_ns: i,
+                end_ns: u64::MAX - i,
+                parent: (i % 2 == 0).then_some(SpanId(i)),
+                tags: values
+                    .iter()
+                    .enumerate()
+                    .map(|(j, v)| (HOSTILE[j % HOSTILE.len()].to_owned(), v.clone()))
+                    .collect(),
+                logs: HOSTILE
+                    .iter()
+                    .map(|m| crate::span::LogEvent {
+                        at_ns: i,
+                        message: (*m).to_owned(),
+                    })
+                    .collect(),
+            };
+            line.clear();
+            push_span_json(&mut line, &span);
+            let text = std::str::from_utf8(&line).unwrap();
+            // No hostile string holds `:` or `,`, so these edits only
+            // re-space and re-escape the line.
+            let spaced = text.replace(':', " :\t").replace(',', "\r, ");
+            let escaped = text.replace("\"level\"", "\"l\\u0065vel\"");
+            for text in [text, &spaced, &escaped] {
+                let parsed = parse_span_json(text, &mut tags, &mut logs)
+                    .unwrap_or_else(|| panic!("direct parser declined a valid line: {text}"));
+                // Debug tells -0.0 from 0.0 and prints finite floats exactly.
+                assert_eq!(format!("{parsed:?}"), format!("{span:?}"));
+                assert_eq!(parsed.tags.capacity(), parsed.tags.len());
+                assert_eq!(parsed.logs.capacity(), parsed.logs.len());
+            }
+        }
+
+        for f in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut span = spans().remove(0);
+            span.tags = vec![("occ".to_owned(), TagValue::F64(f))];
+            line.clear();
+            push_span_json(&mut line, &span);
+            let text = std::str::from_utf8(&line).unwrap();
+            assert!(parse_span_json(text, &mut tags, &mut logs).is_none());
+            assert!(serde_json::from_str::<Span>(text).is_err());
         }
     }
 

@@ -1,13 +1,16 @@
-//! Allocation ceiling of the JSON writers: once a writer's line buffer has
-//! grown to the largest span, writing spans allocates nothing. The count
-//! is exact and machine-independent, unlike wall time.
+//! Allocation ceilings of span JSON. Once a writer's line buffer has grown
+//! to the largest span, writing spans allocates nothing; reading spans
+//! back allocates what cloning them does, plus a constant for the reader's
+//! buffers. The counts are exact and machine-independent, unlike wall
+//! time.
 //!
 //! This binary installs a counting global allocator and counts per thread,
 //! so the test harness's own threads cannot disturb the figure.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use xsp_trace::export::{ChromeTraceWriter, SpanJsonLinesWriter};
+use std::hint::black_box;
+use xsp_trace::export::{ChromeTraceWriter, SpanJsonLinesReader, SpanJsonLinesWriter};
 use xsp_trace::span::tag_keys;
 use xsp_trace::{Span, SpanBuilder, StackLevel, TraceId};
 
@@ -136,5 +139,34 @@ fn rewriting_a_trace_through_the_same_writer_allocates_nothing() {
     assert_eq!(
         allocations, 0,
         "Chrome events: allocations on the second pass"
+    );
+}
+
+/// Allocations the reader may make beyond the spans' own: its line buffer
+/// and tag/log scratch vectors growing to the largest line.
+const READER_BUFFERS: u64 = 32;
+
+#[test]
+fn reading_spans_back_allocates_what_cloning_them_does() {
+    let spans = trace_spans();
+    let mut w = SpanJsonLinesWriter::new(Vec::new());
+    spans
+        .iter()
+        .for_each(|s| w.write_span(s).expect("Vec writes cannot fail"));
+    let bytes = w.finish().expect("Vec writes cannot fail");
+
+    let cloning = allocations_of(|| spans.iter().for_each(|s| drop(black_box(s.clone()))));
+    let mut read = 0;
+    let reading = allocations_of(|| {
+        for span in SpanJsonLinesReader::new(&bytes[..]) {
+            drop(black_box(span.expect("own output parses")));
+            read += 1;
+        }
+    });
+    assert_eq!(read, spans.len());
+    assert!(
+        reading <= cloning + READER_BUFFERS,
+        "reading {} spans made {reading} allocations; cloning them makes {cloning}",
+        spans.len()
     );
 }

@@ -352,6 +352,480 @@ proptest! {
     }
 }
 
+/// A span-JSON line as a tree of text fragments: a leaf is one token's
+/// text, and object keys stay raw, so a bent line can hold duplicate,
+/// escaped or unknown keys that a `serde_json` value cannot.
+#[derive(Clone, Debug)]
+enum Doc {
+    Leaf(String),
+    Arr(Vec<Doc>),
+    Obj(Vec<(String, Doc)>),
+}
+
+fn json_str(s: &str) -> String {
+    serde_json::to_string(s).unwrap()
+}
+
+/// The tree of exactly the line `SpanJsonLinesWriter` writes for `span`.
+fn doc_of(span: &Span) -> Doc {
+    let num = |v: u64| Doc::Leaf(v.to_string());
+    let member = |key: &str, value: Doc| (json_str(key), value);
+    let tag = |(key, value): &(String, TagValue)| {
+        let (variant, text) = match value {
+            TagValue::Str(s) => ("Str", json_str(s)),
+            TagValue::I64(v) => ("I64", v.to_string()),
+            TagValue::U64(v) => ("U64", v.to_string()),
+            TagValue::F64(v) => ("F64", serde_json::to_string(v).unwrap()),
+            TagValue::Bool(v) => ("Bool", v.to_string()),
+        };
+        Doc::Arr(vec![
+            Doc::Leaf(json_str(key)),
+            Doc::Obj(vec![member(variant, Doc::Leaf(text))]),
+        ])
+    };
+    let log = |log: &LogEvent| {
+        Doc::Obj(vec![
+            member("at_ns", num(log.at_ns)),
+            member("message", Doc::Leaf(json_str(&log.message))),
+        ])
+    };
+    Doc::Obj(vec![
+        member("id", num(span.id.0)),
+        member("trace_id", num(span.trace_id.0)),
+        member("name", Doc::Leaf(json_str(&span.name))),
+        member("level", Doc::Leaf(json_str(&format!("{:?}", span.level)))),
+        member("start_ns", num(span.start_ns)),
+        member("end_ns", num(span.end_ns)),
+        member(
+            "parent",
+            Doc::Leaf(span.parent.map_or("null".to_owned(), |p| p.0.to_string())),
+        ),
+        member("tags", Doc::Arr(span.tags.iter().map(tag).collect())),
+        member("logs", Doc::Arr(span.logs.iter().map(log).collect())),
+    ])
+}
+
+/// Renders `doc` with `ws` around every structural character.
+fn render(doc: &Doc, ws: &str, out: &mut String) {
+    match doc {
+        Doc::Leaf(text) => out.push_str(text),
+        Doc::Arr(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push_str(ws);
+                render(item, ws, out);
+                out.push_str(ws);
+            }
+            out.push(']');
+        }
+        Doc::Obj(members) => {
+            out.push('{');
+            for (i, (key, value)) in members.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push_str(ws);
+                out.push_str(key);
+                out.push_str(ws);
+                out.push(':');
+                out.push_str(ws);
+                render(value, ws, out);
+                out.push_str(ws);
+            }
+            out.push('}');
+        }
+    }
+}
+
+fn count_nodes(doc: &Doc, pick: fn(&Doc) -> bool) -> usize {
+    let below = match doc {
+        Doc::Leaf(_) => 0,
+        Doc::Arr(items) => items.iter().map(|d| count_nodes(d, pick)).sum(),
+        Doc::Obj(members) => members.iter().map(|(_, d)| count_nodes(d, pick)).sum(),
+    };
+    usize::from(pick(doc)) + below
+}
+
+/// Applies `f` to the `n`-th node (pre-order) that `pick` selects.
+fn apply_nth(
+    doc: &mut Doc,
+    pick: fn(&Doc) -> bool,
+    n: &mut usize,
+    f: &mut dyn FnMut(&mut Doc),
+) -> bool {
+    if pick(doc) {
+        if *n == 0 {
+            f(doc);
+            return true;
+        }
+        *n -= 1;
+    }
+    match doc {
+        Doc::Leaf(_) => false,
+        Doc::Arr(items) => items.iter_mut().any(|d| apply_nth(d, pick, n, f)),
+        Doc::Obj(members) => members.iter_mut().any(|(_, d)| apply_nth(d, pick, n, f)),
+    }
+}
+
+/// Applies `f` to one node `pick` selects, chosen by `seed`.
+fn bend_one(doc: &mut Doc, seed: usize, pick: fn(&Doc) -> bool, mut f: impl FnMut(&mut Doc)) {
+    let count = count_nodes(doc, pick);
+    if count > 0 {
+        apply_nth(doc, pick, &mut (seed % count), &mut f);
+    }
+}
+
+fn is_obj(d: &Doc) -> bool {
+    matches!(d, Doc::Obj(m) if !m.is_empty())
+}
+fn is_arr(d: &Doc) -> bool {
+    matches!(d, Doc::Arr(_))
+}
+fn is_num_leaf(d: &Doc) -> bool {
+    matches!(d, Doc::Leaf(t) if t.starts_with(|c: char| c == '-' || c.is_ascii_digit() || c == 'n'))
+}
+fn is_str_leaf(d: &Doc) -> bool {
+    matches!(d, Doc::Leaf(t) if t.starts_with('"'))
+}
+fn is_tag_value(d: &Doc) -> bool {
+    const VARIANTS: [&str; 5] = ["\"Str\"", "\"I64\"", "\"U64\"", "\"F64\"", "\"Bool\""];
+    matches!(d, Doc::Obj(m) if m.len() == 1 && VARIANTS.contains(&m[0].0.as_str()))
+}
+
+/// Numbers by the vendored parser's edge rules: leading zeros, `-0`,
+/// floats and overflow where integers belong.
+const NUM_TOKENS: [&str; 19] = [
+    "0",
+    "7",
+    "01",
+    "00",
+    "-0",
+    "-1",
+    "-0.0",
+    "1.0",
+    "1e3",
+    "2E-2",
+    "1.",
+    "-",
+    "18446744073709551615",
+    "18446744073709551616",
+    "9223372036854775808",
+    "-9223372036854775809",
+    "1e999",
+    "null",
+    "nul",
+];
+
+/// Strings with every escape the vendored parser takes, and broken ones.
+const STR_TOKENS: [&str; 15] = [
+    r#""""#,
+    r#""dup""#,
+    r#""Model""#,
+    r#""😀""#,
+    r#""😀 tail""#,
+    r#""a\/b\b\f\n\r\t\"\\""#,
+    r#""\ud800""#,
+    r#""\ud800A""#,
+    r#""\ud800\udbff""#,
+    r#""\ud800\ue000""#,
+    r#""\udc00""#,
+    r#""\u+041""#,
+    r#""\u00zz""#,
+    r#""\u12""#,
+    r#""\q""#,
+];
+
+/// Tag value objects: `-0` in every integer and float position, numbers
+/// of the wrong kind, and objects without exactly one key.
+const TAG_TOKENS: [&str; 16] = [
+    r#"{"F64":-0}"#,
+    r#"{"F64":-0.0}"#,
+    r#"{"F64":7}"#,
+    r#"{"F64":18446744073709551616}"#,
+    r#"{"F64":-9223372036854775809}"#,
+    r#"{"F64":null}"#,
+    r#"{"I64":-0}"#,
+    r#"{"I64":9223372036854775808}"#,
+    r#"{"U64":-0}"#,
+    r#"{"U64":1.0}"#,
+    r#"{"Bool":1}"#,
+    r#"{"Str":5}"#,
+    r#"{"U32":1}"#,
+    r#"{}"#,
+    r#"{"Str":"a","Str":"b"}"#,
+    r#"{"F64":1,"I64":2}"#,
+];
+
+/// Values of the wrong shape for any position.
+const ANY_TOKENS: [&str; 8] = [
+    "[]",
+    "{}",
+    "[1,2]",
+    r#"{"Model":null}"#,
+    "true",
+    "null",
+    "\"x\"",
+    "1",
+];
+
+/// Re-spells a string token with a `\u` escape per UTF-16 unit.
+fn escape_all(token: &str, upper: bool) -> String {
+    let Ok(s) = serde_json::from_str::<String>(token) else {
+        return token.to_owned();
+    };
+    let mut out = String::from("\"");
+    for unit in s.encode_utf16() {
+        out.push_str(&if upper {
+            format!("\\u{unit:04X}")
+        } else {
+            format!("\\u{unit:04x}")
+        });
+    }
+    out.push('"');
+    out
+}
+
+/// Bends `doc` one way, chosen by `kind`; `seed` picks the node and token.
+/// Leaf substitutions (kinds 4, 5 and 8) are drawn twice as often as the
+/// rest: they probe the most rules.
+fn bend(doc: &mut Doc, kind: u8, seed: usize) {
+    let kind = match kind {
+        13 => 4,
+        14 => 5,
+        15 => 8,
+        k => k,
+    };
+    let token = |list: &[&str]| list[seed / 7 % list.len()].to_owned();
+    match kind {
+        // Reorder an object's members.
+        0 => bend_one(doc, seed, is_obj, |d| {
+            if let Doc::Obj(m) = d {
+                let len = m.len();
+                m.rotate_left(seed / 3 % len);
+                if seed % 2 == 0 {
+                    m.reverse();
+                }
+            }
+        }),
+        // Duplicate a member, later or earlier, with a valid other value.
+        1 => bend_one(doc, seed, is_obj, |d| {
+            if let Doc::Obj(m) = d {
+                let i = seed / 3 % m.len();
+                let mut dup = m[i].clone();
+                dup.1 = match &dup.1 {
+                    Doc::Leaf(t) if t.starts_with('"') => {
+                        Doc::Leaf(token(&[r#""dup""#, r#""Kernel""#, r#""""#]))
+                    }
+                    Doc::Leaf(_) => Doc::Leaf(token(&["0", "7", "123"])),
+                    other => other.clone(),
+                };
+                let at = if seed % 2 == 0 { m.len() } else { i };
+                m.insert(at, dup);
+            }
+        }),
+        // Drop a member.
+        2 => bend_one(doc, seed, is_obj, |d| {
+            if let Doc::Obj(m) = d {
+                m.remove(seed / 3 % m.len());
+            }
+        }),
+        // Add an unknown member.
+        3 => bend_one(doc, seed, is_obj, |d| {
+            if let Doc::Obj(m) = d {
+                let at = seed / 3 % (m.len() + 1);
+                m.insert(at, (json_str("extra"), Doc::Leaf("1".to_owned())));
+            }
+        }),
+        4 => bend_one(doc, seed, is_num_leaf, |d| {
+            *d = Doc::Leaf(token(&NUM_TOKENS))
+        }),
+        5 => bend_one(doc, seed, is_str_leaf, |d| {
+            *d = Doc::Leaf(token(&STR_TOKENS))
+        }),
+        // Re-spell a string value or a key with valid escapes.
+        6 => bend_one(doc, seed, is_str_leaf, |d| {
+            if let Doc::Leaf(t) = d {
+                *t = escape_all(t, seed % 2 == 0);
+            }
+        }),
+        7 => bend_one(doc, seed, is_obj, |d| {
+            if let Doc::Obj(m) = d {
+                let i = seed / 3 % m.len();
+                m[i].0 = escape_all(&m[i].0, seed % 2 == 0);
+            }
+        }),
+        8 => bend_one(doc, seed, is_tag_value, |d| {
+            *d = Doc::Leaf(token(&TAG_TOKENS))
+        }),
+        // Replace any value below the root with one of the wrong shape.
+        9 => bend_one(
+            doc,
+            seed + 1,
+            |_| true,
+            |d| *d = Doc::Leaf(token(&ANY_TOKENS)),
+        ),
+        // Remove, repeat or append an array element (tag tuples included).
+        10 => bend_one(doc, seed, is_arr, |d| {
+            if let Doc::Arr(items) = d {
+                match (seed / 3 % 3, items.is_empty()) {
+                    (0, false) => {
+                        items.remove(seed / 9 % items.len());
+                    }
+                    (1, false) => items.push(items[seed / 9 % items.len()].clone()),
+                    _ => items.push(Doc::Leaf("1".to_owned())),
+                }
+            }
+        }),
+        // Give a tag object a second key, or take its only one.
+        11 => bend_one(doc, seed, is_tag_value, |d| {
+            if let Doc::Obj(m) = d {
+                match seed / 3 % 3 {
+                    0 => m.clear(),
+                    1 => m.push(m[0].clone()),
+                    _ => m.push((json_str("Bool"), Doc::Leaf("true".to_owned()))),
+                }
+            }
+        }),
+        // Swap the timestamps, inverting every span with a duration.
+        _ => {
+            if let Doc::Obj(m) = doc {
+                let find = |m: &[(String, Doc)], key: &str| m.iter().position(|(k, _)| k == key);
+                if let (Some(s), Some(e)) = (find(m, "\"start_ns\""), find(m, "\"end_ns\"")) {
+                    let start = m[s].1.clone();
+                    m[s].1 = std::mem::replace(&mut m[e].1, start);
+                }
+            }
+        }
+    }
+}
+
+/// What the reader must yield for `line`: nothing for a blank line, else
+/// the value tree's verdict followed by the timestamp check.
+fn oracle_line(line: &str) -> Option<Result<Span, serde_json::Error>> {
+    let text = line.trim_end_matches(['\n', '\r']);
+    if text.trim().is_empty() {
+        return None;
+    }
+    Some(serde_json::from_str::<Span>(text).and_then(|s| {
+        if s.end_ns < s.start_ns {
+            return Err(serde_json::Error::Data(format!(
+                "span {} ends before it starts: end_ns {} < start_ns {}",
+                s.id.0, s.end_ns, s.start_ns
+            )));
+        }
+        Ok(s)
+    }))
+}
+
+/// Span equality with floats compared by bits (`-0.0` is not `0.0`).
+fn same_span(a: &Span, b: &Span) -> bool {
+    let same_tag = |(ka, va): &(String, TagValue), (kb, vb): &(String, TagValue)| {
+        ka == kb
+            && match (va, vb) {
+                (TagValue::F64(x), TagValue::F64(y)) => x.to_bits() == y.to_bits(),
+                _ => va == vb,
+            }
+    };
+    a.id == b.id
+        && a.trace_id == b.trace_id
+        && a.name == b.name
+        && a.level == b.level
+        && a.start_ns == b.start_ns
+        && a.end_ns == b.end_ns
+        && a.parent == b.parent
+        && a.logs == b.logs
+        && a.tags.len() == b.tags.len()
+        && a.tags.iter().zip(&b.tags).all(|(x, y)| same_tag(x, y))
+}
+
+/// Up to three bends of one line, its whitespace, and its tail: `0`
+/// truncates it, `1` appends garbage, `2` indents it.
+type Bends = (Vec<(u8, usize)>, usize, (u8, usize));
+
+fn arb_bends() -> impl Strategy<Value = Bends> {
+    (
+        prop::collection::vec((0u8..16, 0usize..10_000), 0..4),
+        0usize..4,
+        (0u8..6, 0usize..10_000),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// The direct span-JSON-lines parser against the value tree: writer
+    /// lines and bent variants of them (reordered, re-spaced, re-escaped;
+    /// duplicate, unknown and missing keys; mistyped values and numeric
+    /// edge spellings; tag objects with zero or two keys; truncations;
+    /// inverted timestamps), all read through one reader, must each give
+    /// exactly what `serde_json::from_str::<Span>` and the timestamp check
+    /// give: the same span, floats by bits, or the same error.
+    #[test]
+    fn direct_reader_matches_the_value_tree(
+        cases in prop::collection::vec((arb_emit_span(), arb_bends()), 1..8)
+    ) {
+        use xsp_trace::export::{ReadError, SpanJsonLinesReader, SpanJsonLinesWriter};
+        const WS: [&str; 4] = ["", " ", "\t", " \r\t "];
+
+        let mut lines = Vec::new();
+        for (span, (bends, ws, (tail, cut))) in &cases {
+            let mut writer = SpanJsonLinesWriter::new(Vec::new());
+            writer.write_span(span).unwrap();
+            let written = String::from_utf8(writer.finish().unwrap()).unwrap();
+            let doc = doc_of(span);
+            let mut pristine = String::new();
+            render(&doc, "", &mut pristine);
+            prop_assert_eq!(&written, &format!("{pristine}\n"), "the tree models the writer");
+            lines.push(pristine);
+
+            let mut doc = doc;
+            for &(kind, seed) in bends {
+                bend(&mut doc, kind, seed);
+            }
+            let mut bent = String::new();
+            render(&doc, WS[*ws], &mut bent);
+            match tail {
+                0 => {
+                    let mut at = cut % (bent.len() + 1);
+                    while !bent.is_char_boundary(at) {
+                        at -= 1;
+                    }
+                    bent.truncate(at);
+                }
+                1 => bent.push_str(" x"),
+                2 => bent.insert_str(0, WS[*ws]),
+                _ => {}
+            }
+            lines.push(bent);
+        }
+
+        let input: String = lines.iter().map(|l| format!("{l}\n")).collect();
+        let mut reader = SpanJsonLinesReader::new(input.as_bytes());
+        for (i, line) in lines.iter().enumerate() {
+            let Some(want) = oracle_line(line) else { continue };
+            let got = reader.next().expect("one item per non-blank line");
+            match (got, want) {
+                (Ok(got), Ok(want)) => prop_assert!(
+                    same_span(&got, &want),
+                    "line {}: {:?}\n direct {:?}\n oracle {:?}", i + 1, line, got, want
+                ),
+                (Err(ReadError::Parse { line: at, source }), Err(want)) => {
+                    prop_assert_eq!(at, i + 1);
+                    prop_assert_eq!(source, want, "line {:?}", line);
+                }
+                (got, want) => prop_assert!(
+                    false,
+                    "line {}: {:?}\n reader {:?}\n oracle {:?}", i + 1, line, got, want
+                ),
+            }
+        }
+        prop_assert!(reader.next().is_none());
+    }
+}
+
 proptest! {
     /// The correlation-engine refactor contract: for arbitrary span forests
     /// — overlapping layers (ambiguity), spans outside every candidate
