@@ -2,22 +2,29 @@
 //! supported trace format, and provides the always-on export sink that
 //! [`crate::profile::Xsp`] threads through sweeps.
 //!
-//! Everything here writes through the incremental writers of
-//! [`xsp_trace::export::stream`]: spans leave through an `io::Write` one at
-//! a time (one evaluation run at a time for folded stacks, which need the
-//! run's parent tree), so exporting never materializes the serialized
-//! trace. Because profiles are deterministic in `(config, graph)` and runs
-//! are merged in submission order, exported bytes are identical for every
-//! [`crate::scheduler::Parallelism`] setting — the CI export-determinism
-//! lane diffs serial against 4-worker output for all three formats.
+//! There is one export path. [`ExportFormat::from_path`] is the one rule
+//! that maps a path to a format, and a private format-keyed writer is the
+//! one place that builds the format's incremental writer from
+//! [`xsp_trace::export::stream`] / [`xsp_trace::export::binary`].
+//! [`export_profile`], [`export_run_profile`] and [`ExportSink`] all write
+//! through it, one correlated run at a time: spans leave through an
+//! `io::Write` as they are serialized (folded stacks emit a whole run,
+//! which they need for its parent tree), so exporting never materializes
+//! the serialized trace. Because profiles are deterministic in
+//! `(config, graph)` and runs are merged in submission order, exported
+//! bytes are identical for every [`crate::scheduler::Parallelism`] setting
+//! — the CI export-determinism lane diffs serial against 4-worker output
+//! for every format.
 
 use crate::pipeline::RunProfile;
 use crate::profile::LeveledProfile;
 use std::fmt;
 use std::io::{self, Write};
+use std::path::Path;
 use std::sync::{Arc, Mutex};
 use xsp_trace::export::stream::{ChromeTraceWriter, FoldedStacksWriter, SpanJsonLinesWriter};
 use xsp_trace::export::SpanBinaryWriter;
+use xsp_trace::{CorrelatedTrace, Span};
 
 /// The trace formats `xsp export` (and [`export_profile`]) can emit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,6 +75,22 @@ impl ExportFormat {
         }
     }
 
+    /// The format a path's extension names, matched case-insensitively
+    /// (`.XSPB` is `.xspb`): `.xspb` selects span binary, `.json` Chrome
+    /// trace events, `.folded` folded stacks, anything else
+    /// span-JSON-lines. This is the only extension rule: sinks
+    /// ([`ExportSink::create`]), the daemon's session sinks and the CLI
+    /// all route through it.
+    pub fn from_path(path: &Path) -> Self {
+        let ext = path.extension().and_then(|e| e.to_str()).unwrap_or("");
+        match ext.to_ascii_lowercase().as_str() {
+            "xspb" => ExportFormat::Binary,
+            "json" => ExportFormat::Chrome,
+            "folded" => ExportFormat::Folded,
+            _ => ExportFormat::Spans,
+        }
+    }
+
     /// The canonical CLI spelling.
     pub fn label(self) -> &'static str {
         match self {
@@ -107,45 +130,98 @@ impl fmt::Display for ParseFormatError {
 
 impl std::error::Error for ParseFormatError {}
 
-/// Streams a span sequence to `out` as span-JSON-lines or Chrome trace
-/// events — the shared per-span body of [`export_profile`] and
-/// [`export_run_profile`], so the live and offline paths cannot drift.
-/// Folded stacks need per-run parent trees and are handled by the callers.
-fn export_span_stream<'a, W: Write>(
-    spans: impl Iterator<Item = &'a xsp_trace::Span>,
+/// The writer of one [`ExportFormat`] — the only code that builds a
+/// per-format writer. Span-JSON-lines, `.xspb` span binary and Chrome
+/// trace events append one span at a time; folded stacks need each span's
+/// children, so they take whole correlated runs
+/// ([`FormatWriter::write_run`]) and refuse raw spans with a structured
+/// `InvalidInput` error rather than silently writing the wrong format.
+enum FormatWriter<W: Write> {
+    Spans(SpanJsonLinesWriter<W>),
+    Binary(SpanBinaryWriter<W>),
+    Chrome(ChromeTraceWriter<W>),
+    Folded(FoldedStacksWriter<W>),
+}
+
+impl<W: Write> FormatWriter<W> {
+    /// Opens a `format` writer over `out`. Fallible because the `.xspb`
+    /// header and the Chrome `traceEvents` envelope are written eagerly, so
+    /// a dead writer surfaces here instead of poisoning the first span.
+    fn new(format: ExportFormat, out: W) -> io::Result<Self> {
+        Ok(match format {
+            ExportFormat::Spans => Self::Spans(SpanJsonLinesWriter::new(out)),
+            ExportFormat::Binary => Self::Binary(SpanBinaryWriter::new(out)?),
+            ExportFormat::Chrome => Self::Chrome(ChromeTraceWriter::new(out)?),
+            ExportFormat::Folded => Self::Folded(FoldedStacksWriter::new(out)),
+        })
+    }
+
+    fn write_span(&mut self, span: &Span) -> io::Result<()> {
+        match self {
+            Self::Spans(w) => w.write_span(span),
+            Self::Binary(w) => w.write_span(span),
+            Self::Chrome(w) => w.write_span(span),
+            Self::Folded(_) => Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "folded sinks finalize per correlated run and cannot accept raw span \
+                 writes; use a spans, xspb, or json sink for span streams",
+            )),
+        }
+    }
+
+    /// Appends one finalized run: folded stacks emit the run's stacks in
+    /// one go, every other format appends the run's spans.
+    fn write_run(&mut self, trace: &CorrelatedTrace) -> io::Result<()> {
+        match self {
+            Self::Folded(w) => w.write_run(trace),
+            _ => trace
+                .iter_spans()
+                .try_for_each(|span| self.write_span(span)),
+        }
+    }
+
+    /// Spans written so far (runs, for folded stacks).
+    fn written(&self) -> usize {
+        match self {
+            Self::Spans(w) => w.written(),
+            Self::Binary(w) => w.written(),
+            Self::Chrome(w) => w.written(),
+            Self::Folded(w) => w.written(),
+        }
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        match self {
+            Self::Spans(w) => w.flush(),
+            Self::Binary(w) => w.flush(),
+            Self::Chrome(w) => w.flush(),
+            Self::Folded(w) => w.flush(),
+        }
+    }
+
+    /// Writes any format trailer (the Chrome `]}` envelope close) and
+    /// flushes. After this the stream is complete; call it once.
+    fn finish(&mut self) -> io::Result<()> {
+        match self {
+            Self::Chrome(w) => w.close(),
+            _ => self.flush(),
+        }
+    }
+}
+
+/// Writes each correlated run once through one `format` writer and
+/// returns what it counts: spans, or runs for folded stacks.
+fn export_runs<'a, W: Write>(
+    runs: impl IntoIterator<Item = &'a CorrelatedTrace>,
     format: ExportFormat,
     out: W,
 ) -> io::Result<usize> {
-    match format {
-        ExportFormat::Spans => {
-            let mut writer = SpanJsonLinesWriter::new(out);
-            for span in spans {
-                writer.write_span(span)?;
-            }
-            let written = writer.written();
-            writer.finish()?;
-            Ok(written)
-        }
-        ExportFormat::Binary => {
-            let mut writer = SpanBinaryWriter::new(out)?;
-            for span in spans {
-                writer.write_span(span)?;
-            }
-            let written = writer.written();
-            writer.finish()?;
-            Ok(written)
-        }
-        ExportFormat::Chrome => {
-            let mut writer = ChromeTraceWriter::new(out)?;
-            for span in spans {
-                writer.write_span(span)?;
-            }
-            let written = writer.written();
-            writer.finish()?;
-            Ok(written)
-        }
-        ExportFormat::Folded => unreachable!("folded export streams per run, not per span"),
+    let mut writer = FormatWriter::new(format, out)?;
+    for run in runs {
+        writer.write_run(run)?;
     }
+    writer.finish()?;
+    Ok(writer.written())
 }
 
 /// Streams every span of `profile` (canonical run order: M, M/L, M/L/G,
@@ -156,21 +232,7 @@ pub fn export_profile<W: Write>(
     format: ExportFormat,
     out: W,
 ) -> io::Result<usize> {
-    match format {
-        ExportFormat::Spans | ExportFormat::Binary | ExportFormat::Chrome => {
-            export_span_stream(profile.iter_spans(), format, out)
-        }
-        ExportFormat::Folded => {
-            let mut writer = FoldedStacksWriter::new(out);
-            let mut runs = 0;
-            for run in profile.runs() {
-                writer.write_run(&run.trace)?;
-                runs += 1;
-            }
-            writer.finish()?;
-            Ok(runs)
-        }
-    }
+    export_runs(profile.runs().map(|run| &run.trace), format, out)
 }
 
 /// Streams an offline-reconstructed [`RunProfile`] — the
@@ -183,104 +245,20 @@ pub fn export_profile<W: Write>(
 /// async pairs, re-correlation is a no-op on its spans, and the bytes this
 /// emits for a capture of `profile` equal the live
 /// [`export_profile`] bytes for the same profile — the offline round-trip
-/// test pins that equivalence against the frozen chrome golden.
+/// test pins that equivalence against the frozen chrome golden. For folded
+/// stacks, one traversal covers every run in the capture: the correlated
+/// trace's root set lists each run's model-level roots in publication
+/// order, which is exactly the per-run emission order of the live export.
 pub fn export_run_profile<W: Write>(
     profile: &RunProfile,
     format: ExportFormat,
     out: W,
 ) -> io::Result<usize> {
-    match format {
-        ExportFormat::Spans | ExportFormat::Binary | ExportFormat::Chrome => {
-            export_span_stream(profile.trace.iter_spans(), format, out)
-        }
-        ExportFormat::Folded => {
-            // One traversal covers every run in the capture: the correlated
-            // trace's root set lists each run's model-level roots in
-            // publication order, which is exactly the per-run emission order
-            // of the live export.
-            let mut writer = FoldedStacksWriter::new(out);
-            writer.write_run(&profile.trace)?;
-            writer.finish()?;
-            Ok(1)
-        }
-    }
-}
-
-/// The sink's format-specific writer half. Span-JSON-lines (the default
-/// interchange), `.xspb` span binary, and Chrome trace events append one
-/// span at a time; folded stacks need each span's children and therefore
-/// finalize one correlated run at a time ([`SinkWriter::write_run`]) —
-/// per-span writes on a folded sink are a structured error, not silent
-/// misbehavior.
-enum SinkWriter {
-    Jsonl(SpanJsonLinesWriter<Box<dyn Write + Send>>),
-    Binary(SpanBinaryWriter<Box<dyn Write + Send>>),
-    Chrome(ChromeTraceWriter<Box<dyn Write + Send>>),
-    Folded {
-        writer: FoldedStacksWriter<Box<dyn Write + Send>>,
-        runs: usize,
-    },
-}
-
-impl SinkWriter {
-    fn write_span(&mut self, span: &xsp_trace::Span) -> io::Result<()> {
-        match self {
-            SinkWriter::Jsonl(w) => w.write_span(span),
-            SinkWriter::Binary(w) => w.write_span(span),
-            SinkWriter::Chrome(w) => w.write_span(span),
-            SinkWriter::Folded { .. } => Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "folded sinks finalize per correlated run and cannot accept raw span \
-                 writes; use a spans, xspb, or json sink for span streams",
-            )),
-        }
-    }
-
-    /// Appends one finalized run. Folded output emits the run's stacks in
-    /// one go; every other format degrades to the per-span stream.
-    fn write_run(&mut self, trace: &xsp_trace::CorrelatedTrace) -> io::Result<()> {
-        if let SinkWriter::Folded { writer, runs } = self {
-            writer.write_run(trace)?;
-            *runs += 1;
-            return Ok(());
-        }
-        for span in trace.iter_spans() {
-            self.write_span(span)?;
-        }
-        Ok(())
-    }
-
-    fn written(&self) -> usize {
-        match self {
-            SinkWriter::Jsonl(w) => w.written(),
-            SinkWriter::Binary(w) => w.written(),
-            SinkWriter::Chrome(w) => w.written(),
-            SinkWriter::Folded { runs, .. } => *runs,
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            SinkWriter::Jsonl(w) => w.flush(),
-            SinkWriter::Binary(w) => w.flush(),
-            SinkWriter::Chrome(w) => w.flush(),
-            SinkWriter::Folded { writer, .. } => writer.flush(),
-        }
-    }
-
-    /// Writes any format trailer (the Chrome `]}` envelope close) and
-    /// flushes. After this the stream is complete; only called once, via
-    /// the `finished` latch in [`SinkState`].
-    fn finish(&mut self) -> io::Result<()> {
-        match self {
-            SinkWriter::Chrome(w) => w.close(),
-            other => other.flush(),
-        }
-    }
+    export_runs([&profile.trace], format, out)
 }
 
 struct SinkState {
-    writer: SinkWriter,
+    writer: FormatWriter<Box<dyn Write + Send>>,
     /// First write failure; once set, further writes are dropped so a full
     /// disk cannot panic a sweep mid-flight.
     error: Option<io::Error>,
@@ -289,7 +267,7 @@ struct SinkState {
     finished: bool,
 }
 
-/// A shared span-JSON-lines sink threaded through [`crate::profile::XspConfig`]:
+/// A shared export sink threaded through [`crate::profile::XspConfig`]:
 /// every evaluation run the profiler completes is appended (in submission
 /// order, so bytes are worker-count-independent) as soon as its point
 /// finishes — a batch sweep exports incrementally instead of holding every
@@ -305,71 +283,40 @@ pub struct ExportSink {
 }
 
 impl ExportSink {
-    fn from_writer(writer: SinkWriter) -> Self {
-        Self {
+    /// Creates a `format` sink over any writer (file, socket, `Vec<u8>` in
+    /// tests). Fallible because the `.xspb` header and the Chrome envelope
+    /// are written eagerly. Call [`ExportSink::finish`] when the capture
+    /// ends so a Chrome envelope closes (an unfinished chrome sink is
+    /// truncated JSON). Folded sinks finalize one correlated run at a time,
+    /// so only run-granular feeds (profiler sweeps) can write to them; raw
+    /// span streams latch a structured error.
+    pub fn with_format(format: ExportFormat, out: impl Write + Send + 'static) -> io::Result<Self> {
+        let writer = FormatWriter::new(format, Box::new(out) as Box<dyn Write + Send>)?;
+        Ok(Self {
             state: Arc::new(Mutex::new(SinkState {
                 writer,
                 error: None,
                 finished: false,
             })),
-        }
-    }
-
-    /// Creates a span-JSON-lines sink over any writer (file, socket,
-    /// `Vec<u8>` in tests).
-    pub fn new(out: impl Write + Send + 'static) -> Self {
-        Self::from_writer(SinkWriter::Jsonl(SpanJsonLinesWriter::new(Box::new(out))))
-    }
-
-    /// Creates a `.xspb` span-binary sink over any writer. Fallible because
-    /// the stream header is written eagerly, so a dead writer surfaces here
-    /// instead of poisoning the first span.
-    pub fn new_binary(out: impl Write + Send + 'static) -> io::Result<Self> {
-        let writer: Box<dyn Write + Send> = Box::new(out);
-        Ok(Self::from_writer(SinkWriter::Binary(
-            SpanBinaryWriter::new(writer)?,
-        )))
-    }
-
-    /// Creates a Chrome trace-event sink over any writer. Fallible because
-    /// the `traceEvents` envelope opens eagerly; call
-    /// [`ExportSink::finish`] when the capture ends so the envelope closes
-    /// (an unfinished chrome sink is truncated JSON).
-    pub fn new_chrome(out: impl Write + Send + 'static) -> io::Result<Self> {
-        let writer: Box<dyn Write + Send> = Box::new(out);
-        Ok(Self::from_writer(SinkWriter::Chrome(
-            ChromeTraceWriter::new(writer)?,
-        )))
-    }
-
-    /// Creates a folded-stacks sink over any writer. Folded output
-    /// finalizes one correlated run at a time, so only run-granular feeds
-    /// (profiler sweeps) can write to it; raw span streams latch a
-    /// structured error.
-    pub fn new_folded(out: impl Write + Send + 'static) -> Self {
-        Self::from_writer(SinkWriter::Folded {
-            writer: FoldedStacksWriter::new(Box::new(out)),
-            runs: 0,
         })
     }
 
-    /// Creates a sink appending to a buffered file at `path`. The format
-    /// follows the extension, matched case-insensitively (`.XSPB` routes
-    /// like `.xspb`): `.xspb` selects span binary, `.json` Chrome trace
-    /// events, `.folded` folded stacks, everything else span-JSON-lines.
-    pub fn create(path: &std::path::Path) -> io::Result<Self> {
+    /// Creates a span-JSON-lines sink over any writer.
+    pub fn new(out: impl Write + Send + 'static) -> Self {
+        Self::with_format(ExportFormat::Spans, out)
+            .expect("a span-JSON-lines writer writes nothing before its first span")
+    }
+
+    /// Creates a `.xspb` span-binary sink over any writer.
+    pub fn new_binary(out: impl Write + Send + 'static) -> io::Result<Self> {
+        Self::with_format(ExportFormat::Binary, out)
+    }
+
+    /// Creates a sink appending to a buffered file at `path`, in the format
+    /// [`ExportFormat::from_path`] names.
+    pub fn create(path: &Path) -> io::Result<Self> {
         let file = std::fs::File::create(path)?;
-        let out = io::BufWriter::new(file);
-        let ext = path
-            .extension()
-            .and_then(|e| e.to_str())
-            .map(|e| e.to_ascii_lowercase());
-        match ext.as_deref() {
-            Some("xspb") => Self::new_binary(out),
-            Some("json") => Self::new_chrome(out),
-            Some("folded") => Ok(Self::new_folded(out)),
-            _ => Ok(Self::new(out)),
-        }
+        Self::with_format(ExportFormat::from_path(path), io::BufWriter::new(file))
     }
 
     /// Appends the given finalized runs (used by the profiler after each
@@ -390,9 +337,8 @@ impl ExportSink {
         }
     }
 
-    /// Appends a batch of spans (span-JSON-lines, batch order). Like every
-    /// sink write this latches the first I/O failure instead of returning
-    /// it: once poisoned the sink drops all further writes, and the error
+    /// Appends a batch of spans, in batch order. Like every sink write this
+    /// latches the first I/O failure instead of returning it: once poisoned the sink drops all further writes, and the error
     /// stays observable through [`ExportSink::flush`] /
     /// [`ExportSink::error_message`] / [`ExportSink::take_error`]. This is
     /// the spill path of the `xspd` daemon, which appends each session's
@@ -400,7 +346,7 @@ impl ExportSink {
     /// Raw span streams are refused by folded sinks (which can only
     /// finalize whole correlated runs): the refusal latches as a structured
     /// `InvalidInput` error rather than silently writing the wrong format.
-    pub fn write_spans<'a>(&self, spans: impl IntoIterator<Item = &'a xsp_trace::Span>) {
+    pub fn write_spans<'a>(&self, spans: impl IntoIterator<Item = &'a Span>) {
         let mut state = self.state.lock().expect("sink lock");
         if state.error.is_some() || state.finished {
             return;
@@ -558,7 +504,7 @@ mod tests {
         assert_eq!(written, p.iter_spans().count());
         let trace = xsp_trace::export::read_span_json_lines(&out[..]).unwrap();
         assert_eq!(
-            xsp_trace::export::to_span_json(&trace),
+            serde_json::to_string(trace.spans()).unwrap(),
             p.to_span_json(),
             "JSONL round trip must reproduce the array exporter"
         );
@@ -628,7 +574,7 @@ mod tests {
         let p = profile();
         let runs: Vec<RunProfile> = p.runs().cloned().collect();
         let bytes = Arc::new(Mutex::new(Vec::new()));
-        let sink = ExportSink::new_chrome(Buf(bytes.clone())).unwrap();
+        let sink = ExportSink::with_format(ExportFormat::Chrome, Buf(bytes.clone())).unwrap();
         sink.write_runs(&runs);
         sink.finish().unwrap();
         sink.finish().unwrap(); // idempotent: the trailer is written once
@@ -646,7 +592,7 @@ mod tests {
         let p = profile();
         let runs: Vec<RunProfile> = p.runs().cloned().collect();
         let bytes = Arc::new(Mutex::new(Vec::new()));
-        let sink = ExportSink::new_folded(Buf(bytes.clone()));
+        let sink = ExportSink::with_format(ExportFormat::Folded, Buf(bytes.clone())).unwrap();
         sink.write_runs(&runs);
         assert_eq!(sink.spans_written(), runs.len(), "folded counts runs");
         sink.finish().unwrap();
@@ -656,7 +602,7 @@ mod tests {
 
         // Raw span streams cannot be folded: the refusal is a structured
         // latched error, not silently-wrong output.
-        let sink = ExportSink::new_folded(Vec::new());
+        let sink = ExportSink::with_format(ExportFormat::Folded, Vec::new()).unwrap();
         let span =
             xsp_trace::SpanBuilder::new("s", xsp_trace::StackLevel::Model, xsp_trace::TraceId(1))
                 .start(0)
@@ -693,8 +639,8 @@ mod tests {
 
     #[test]
     fn create_routes_extensions_case_insensitively() {
-        // Upper- and mixed-case spellings of every extension must route to
-        // the same writer their lowercase form does.
+        // Upper- and mixed-case spellings of every extension must name the
+        // same format their lowercase form does, and route to its writer.
         let dir = std::env::temp_dir().join(format!("xsp_sink_route_ci_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let p = profile();
@@ -710,6 +656,7 @@ mod tests {
             ("u.FoLdEd", ExportFormat::Folded),
         ] {
             let path = dir.join(name);
+            assert_eq!(ExportFormat::from_path(&path), format, "{name}");
             let sink = ExportSink::create(&path).unwrap();
             sink.write_runs(&runs);
             sink.finish().unwrap();
@@ -719,6 +666,12 @@ mod tests {
             assert_eq!(got, expected, "{name} must route to the {format} writer");
         }
         std::fs::remove_dir_all(&dir).ok();
+        for name in ["trace", "t.txt", "t.folded.bak", "folded"] {
+            assert_eq!(
+                ExportFormat::from_path(Path::new(name)),
+                ExportFormat::Spans
+            );
+        }
     }
 
     #[test]

@@ -460,7 +460,8 @@ fn extract_kernels(trace: &CorrelatedTrace, layers: &[LayerProfile]) -> Vec<Kern
 /// Rebuilds a [`RunProfile`] from an already-collected raw trace — the
 /// offline-analysis path of §III-A ("the conversion ... can be performed
 /// off-line by processing the output of the profiler"). The spans may come
-/// from [`xsp_trace::export::from_span_json`].
+/// from [`xsp_trace::export::read_span_json_lines`] or
+/// [`xsp_trace::export::read_span_binary`].
 ///
 /// Caveat for multi-run captures: every live run allocates trace ids from
 /// its own server, so all runs of a saved capture share `TraceId(1)` and

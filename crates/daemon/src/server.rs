@@ -421,12 +421,7 @@ fn handle_frame(
                 // Session sinks receive raw span streams (spills, flushes),
                 // which a folded sink cannot accept — refuse at open with a
                 // structured error instead of latching on the first spill.
-                Some(path)
-                    if Path::new(path)
-                        .extension()
-                        .and_then(|e| e.to_str())
-                        .is_some_and(|e| e.eq_ignore_ascii_case("folded")) =>
-                {
+                Some(path) if ExportFormat::from_path(Path::new(path)) == ExportFormat::Folded => {
                     return conn.reply_err(
                         "bad_payload",
                         &format!(

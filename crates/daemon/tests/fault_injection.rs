@@ -215,19 +215,62 @@ fn folded_session_sink_is_refused_at_open() {
     // structured error instead of latching on the first spill.
     let handle = daemon(|_| {});
     let mut c = client(&handle);
-    let sink = temp_file("refused.folded");
-    let err = c
-        .open(&OpenOptions {
-            sink: Some(sink.to_str().unwrap().to_owned()),
-            ..OpenOptions::default()
+    for name in ["refused.folded", "refused.FoLdEd"] {
+        let sink = temp_file(name);
+        let err = c
+            .open(&OpenOptions {
+                sink: Some(sink.to_str().unwrap().to_owned()),
+                ..OpenOptions::default()
+            })
+            .unwrap_err();
+        assert_eq!(err.code(), Some("bad_payload"));
+        assert!(
+            err.to_string().contains("folded"),
+            "refusal names the format: {err}"
+        );
+        assert!(!sink.exists(), "no file is created for a refused sink");
+    }
+    handle.shutdown();
+}
+
+#[test]
+fn deep_parent_chain_folded_export_keeps_the_daemon_serving() {
+    // Span i parents span i + 1 and keeps 2 ns of self time, so only the
+    // leaf gets a folded line. Folding once recursed per level, which
+    // overflowed the connection thread's stack and aborted the daemon with
+    // every session in it.
+    const DEPTH: u64 = 50_000;
+    let mut parent = None;
+    let chain: Vec<Span> = (0..DEPTH)
+        .map(|i| {
+            let mut b = SpanBuilder::new(format!("s{i}"), StackLevel::Layer, TraceId(1));
+            if let Some(p) = parent {
+                b = b.parent(p);
+            }
+            let span = b.start(i).finish(2 * DEPTH - i);
+            parent = Some(span.id);
+            span
         })
-        .unwrap_err();
-    assert_eq!(err.code(), Some("bad_payload"));
-    assert!(
-        err.to_string().contains("folded"),
-        "refusal names the format: {err}"
-    );
-    assert!(!sink.exists(), "no file is created for a refused sink");
+        .collect();
+    let handle = daemon(|_| {});
+    let mut c = client(&handle);
+    let session = c.open(&OpenOptions::default()).unwrap();
+    c.append_spans(session, &chain).unwrap();
+    let folded = String::from_utf8(c.export(session, ExportFormat::Folded).unwrap()).unwrap();
+    assert_eq!(folded.lines().count(), 1, "only the leaf has self time");
+    assert!(folded.starts_with("s0;s1;s2;"), "{}", &folded[..40]);
+    assert!(folded.ends_with(&format!(";s{} 1\n", DEPTH - 1)));
+
+    // Another session on another connection still appends and exports.
+    let mut other = client(&handle);
+    let session = other.open(&OpenOptions::default()).unwrap();
+    other.append_spans(session, &mk_spans(3, 0)).unwrap();
+    let exported = other.export(session, ExportFormat::Spans).unwrap();
+    assert_eq!(exported.iter().filter(|&&b| b == b'\n').count(), 3);
+    assert!(!other
+        .export(session, ExportFormat::Folded)
+        .unwrap()
+        .is_empty());
     handle.shutdown();
 }
 

@@ -1,16 +1,11 @@
-//! Trace export: Chrome trace-event JSON (loadable in `chrome://tracing` /
-//! Perfetto), Brendan-Gregg folded stacks, and raw span JSON for offline
-//! analysis pipelines.
+//! Trace export: span JSON for offline analysis pipelines, `.xspb` span
+//! binary, Chrome trace-event JSON (loadable in `chrome://tracing` /
+//! Perfetto) and Brendan-Gregg folded stacks.
 //!
-//! The string-returning functions here are thin wrappers over the
-//! incremental writers in [`stream`]: they serialize through exactly the
-//! same code path into an in-memory buffer, so a streamed export to a file
-//! or socket is byte-identical to the materialized `String`. Sweep-scale
-//! traces should use the [`stream`] writers directly and never hold the
-//! full serialized trace in memory.
-
-use crate::server::Trace;
-use crate::span::Span;
+//! Every format is an incremental writer over an `io::Write` ([`stream`],
+//! [`binary`]): spans leave as they are serialized, so an export never
+//! holds the full serialized trace in memory. A profile-level export picks
+//! its writer by format in `xsp_core::export`.
 
 pub mod binary;
 pub mod stream;
@@ -24,55 +19,11 @@ pub use stream::{
     SpanJsonLinesWriter, SpanJsonWriter,
 };
 
-/// Serializes a trace to Chrome trace-event JSON. Each stack level maps to
-/// its own "thread" row so the across-stack timeline reads top-down like
-/// Figure 1 of the paper.
-pub fn to_chrome_trace(trace: &Trace) -> String {
-    to_chrome_trace_of(trace.spans().iter())
-}
-
-/// The iterator twin of [`to_chrome_trace`]: serializes any borrowed span
-/// sequence (e.g. a [`crate::correlate::CorrelatedTrace`] view) to Chrome
-/// trace-event JSON without materializing an intermediate [`Trace`].
-pub fn to_chrome_trace_of<'a>(spans: impl Iterator<Item = &'a Span>) -> String {
-    let mut writer = stream::ChromeTraceWriter::new(Vec::new()).expect("Vec writes cannot fail");
-    for span in spans {
-        writer.write_span(span).expect("Vec writes cannot fail");
-    }
-    String::from_utf8(writer.finish().expect("Vec writes cannot fail"))
-        .expect("chrome trace output is UTF-8")
-}
-
-/// Serializes a correlated trace to Brendan-Gregg folded-stack format, one
-/// line per leaf span: `model_prediction;conv2d/Conv2D;volta_scudnn 1234`
-/// (weight = self time in microseconds). Feed to `flamegraph.pl` or
-/// speedscope.
-pub fn to_folded_stacks(trace: &crate::correlate::CorrelatedTrace) -> String {
-    let mut writer = stream::FoldedStacksWriter::new(Vec::new());
-    writer.write_run(trace).expect("Vec writes cannot fail");
-    String::from_utf8(writer.finish().expect("Vec writes cannot fail"))
-        .expect("folded stack output is UTF-8")
-}
-
-/// Serializes the raw spans to JSON (offline-analysis input format).
-pub fn to_span_json(trace: &Trace) -> String {
-    let mut writer = stream::SpanJsonWriter::new(Vec::new()).expect("Vec writes cannot fail");
-    writer.write_trace(trace).expect("Vec writes cannot fail");
-    String::from_utf8(writer.finish().expect("Vec writes cannot fail"))
-        .expect("span JSON output is UTF-8")
-}
-
-/// Deserializes spans previously written by [`to_span_json`]; this is the
-/// offline conversion path (§III-A: conversion "can be performed off-line by
-/// processing the output of the profiler").
-pub fn from_span_json(json: &str) -> Result<Trace, serde_json::Error> {
-    let spans: Vec<Span> = serde_json::from_str(json)?;
-    Ok(Trace::from_spans(spans))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::correlate::{reconstruct_parents, CorrelatedTrace};
+    use crate::server::Trace;
     use crate::span::{SpanBuilder, StackLevel, TraceId};
 
     fn sample_trace() -> Trace {
@@ -89,9 +40,17 @@ mod tests {
         Trace::from_spans(vec![model, layer])
     }
 
+    fn folded(trace: &CorrelatedTrace) -> String {
+        let mut writer = FoldedStacksWriter::new(Vec::new());
+        writer.write_run(trace).unwrap();
+        String::from_utf8(writer.finish().unwrap()).unwrap()
+    }
+
     #[test]
     fn chrome_trace_shape() {
-        let json = to_chrome_trace(&sample_trace());
+        let mut writer = ChromeTraceWriter::new(Vec::new()).unwrap();
+        writer.write_trace(&sample_trace()).unwrap();
+        let json = String::from_utf8(writer.finish().unwrap()).unwrap();
         let v: serde_json::Value = serde_json::from_str(&json).unwrap();
         let events = v["traceEvents"].as_array().unwrap();
         assert_eq!(events.len(), 2);
@@ -107,8 +66,9 @@ mod tests {
     #[test]
     fn span_json_roundtrip() {
         let trace = sample_trace();
-        let json = to_span_json(&trace);
-        let back = from_span_json(&json).unwrap();
+        let mut writer = SpanJsonLinesWriter::new(Vec::new());
+        writer.write_trace(&trace).unwrap();
+        let back = read_span_json_lines(&writer.finish().unwrap()[..]).unwrap();
         assert_eq!(back.len(), trace.len());
         assert_eq!(back.spans()[0].name, "predict");
         assert_eq!(back.spans()[1].parent, trace.spans()[1].parent);
@@ -120,24 +80,26 @@ mod tests {
 
     #[test]
     fn span_json_wrapper_matches_direct_serialization() {
-        // The pre-streaming exporter was serde_json::to_string(spans);
-        // the wrapper must reproduce it byte-for-byte.
+        // The pre-streaming exporter was serde_json::to_string(spans); the
+        // array writer must reproduce it byte-for-byte.
         let trace = sample_trace();
+        let mut writer = SpanJsonWriter::new(Vec::new()).unwrap();
+        writer.write_trace(&trace).unwrap();
         assert_eq!(
-            to_span_json(&trace),
-            serde_json::to_string(trace.spans()).unwrap()
+            writer.finish().unwrap(),
+            serde_json::to_string(trace.spans()).unwrap().into_bytes()
         );
-        assert_eq!(to_span_json(&Trace::default()), "[]");
+        let empty = SpanJsonWriter::new(Vec::new()).unwrap();
+        assert_eq!(empty.finish().unwrap(), b"[]");
     }
 
     #[test]
     fn malformed_json_is_an_error() {
-        assert!(from_span_json("not json").is_err());
+        assert!(read_span_json_lines(&b"not json\n"[..]).is_err());
     }
 
     #[test]
     fn folded_stacks_weight_self_time() {
-        use crate::correlate::reconstruct_parents;
         let model = SpanBuilder::new("predict", StackLevel::Model, TraceId(1))
             .start(0)
             .finish(10_000_000); // 10 ms
@@ -148,7 +110,7 @@ mod tests {
             .start(2_000_000)
             .finish(8_000_000); // 6 ms
         let c = reconstruct_parents(&Trace::from_spans(vec![model, layer, kernel]));
-        let folded = to_folded_stacks(&c);
+        let folded = folded(&c);
         let lines: Vec<&str> = folded.lines().collect();
         assert_eq!(lines.len(), 3, "{folded}");
         assert!(lines.contains(&"predict 2000"), "{folded}"); // 10-8 ms self
@@ -158,12 +120,11 @@ mod tests {
 
     #[test]
     fn folded_stacks_sanitize_names() {
-        use crate::correlate::reconstruct_parents;
         let s = SpanBuilder::new("has space;semi", StackLevel::Model, TraceId(1))
             .start(0)
             .finish(2_000);
         let c = reconstruct_parents(&Trace::from_spans(vec![s]));
-        let folded = to_folded_stacks(&c);
+        let folded = folded(&c);
         assert!(folded.starts_with("has_space_semi "), "{folded}");
     }
 }

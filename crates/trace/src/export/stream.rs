@@ -1,13 +1,11 @@
 //! Streaming trace export: incremental writers over [`io::Write`].
 //!
-//! The string-returning exporters in [`crate::export`] materialize the whole
-//! serialized trace before anything leaves the process — fine for a unit
-//! test, hopeless for sweep-scale traces (a single BERT-Base run already
-//! serializes to ~200 KB; a model-fleet sweep is thousands of runs). Every
-//! writer here instead emits spans *as they arrive*: peak memory is one
-//! reusable line buffer per writer (one evaluation run's spans for folded
-//! stacks, which need the run's parent tree), independent of total trace
-//! size.
+//! A serialized trace is never materialized before it leaves the process:
+//! a single BERT-Base run already serializes to ~200 KB, and a model-fleet
+//! sweep is thousands of runs. Every writer here emits spans *as they
+//! arrive*: peak memory is one reusable line buffer per writer (one
+//! evaluation run's spans for folded stacks, which need the run's parent
+//! tree), independent of total trace size.
 //!
 //! Three formats share one contract:
 //!
@@ -41,10 +39,11 @@
 //! oracle on bent writer lines. On top, it refuses a span that ends before
 //! it starts.
 //!
-//! The string exporters in [`crate::export`] are thin wrappers over these
-//! writers, so streamed bytes are *identical* to materialized bytes — the
-//! golden tests pin that equivalence, and the engine's determinism contract
-//! (serial output == parallel output) extends to every exported artifact.
+//! A writer over a `Vec<u8>` is how a test or a fingerprint gets the bytes
+//! in memory: there is no separate string exporter to drift from the
+//! streamed bytes. The golden tests pin those bytes, and the engine's
+//! determinism contract (serial output == parallel output) extends to
+//! every exported artifact.
 
 use crate::correlate::CorrelatedTrace;
 use crate::server::Trace;
@@ -670,7 +669,8 @@ fn push_chrome_event(buf: &mut Vec<u8>, span: &Span) {
 }
 
 /// Incremental writer for the span-JSON *array* format — byte-compatible
-/// with [`crate::export::to_span_json`], which wraps it.
+/// with `serde_json::to_string` of the span slice, and the writer behind
+/// the profile-level `to_span_json` fingerprint.
 ///
 /// ```
 /// use xsp_trace::export::stream::SpanJsonWriter;
@@ -871,8 +871,7 @@ pub fn read_span_json_lines<R: BufRead>(input: R) -> Result<Trace, ReadError> {
     Ok(Trace::from_spans(spans))
 }
 
-/// Incremental writer for Chrome trace-event JSON — byte-compatible with
-/// [`crate::export::to_chrome_trace`], which wraps it. Each stack level maps
+/// Incremental writer for Chrome trace-event JSON. Each stack level maps
 /// to its own "thread" row so the across-stack timeline reads top-down like
 /// Figure 1 of the paper; each evaluation run becomes a "process" row.
 #[derive(Debug)]
@@ -944,51 +943,78 @@ impl<W: Write> ChromeTraceWriter<W> {
 /// Folded stacks need each span's children, so the streaming unit is one
 /// *correlated run* ([`write_run`](FoldedStacksWriter::write_run)): peak
 /// memory is the largest single run, not the whole export.
-/// [`crate::export::to_folded_stacks`] wraps this writer.
 #[derive(Debug)]
 pub struct FoldedStacksWriter<W: Write> {
     out: W,
+    written: usize,
 }
 
 impl<W: Write> FoldedStacksWriter<W> {
     /// Creates a writer over `out`.
     pub fn new(out: W) -> Self {
-        Self { out }
+        Self { out, written: 0 }
     }
 
     /// Streams the folded stacks of one correlated trace (typically a
-    /// single evaluation run) to the output, walking the trace's built-once
-    /// root/children indices — no per-export adjacency rebuild.
+    /// single evaluation run) to the output, depth first, walking the
+    /// trace's built-once root/children indices — no per-export adjacency
+    /// rebuild. The walk keeps its own stack, so a parent chain of any
+    /// depth costs heap, not call stack. A span already on the current
+    /// path is not entered again: spans that reuse an id can make a parent
+    /// chain loop, and the walk must still end.
     pub fn write_run(&mut self, trace: &CorrelatedTrace) -> io::Result<()> {
-        let mut stack = Vec::new();
-        for &r in trace.root_indices() {
-            self.emit(trace, r, &mut stack)?;
+        // The `;`-joined names from the root to the current span.
+        let mut path = String::new();
+        let mut on_path = vec![false; trace.len()];
+        // Per span on the path: its index, its siblings still to visit, and
+        // the path length before its name was appended.
+        let mut open: Vec<(usize, &[usize], usize)> = Vec::new();
+        let mut next = trace.root_indices();
+        loop {
+            let Some((&idx, siblings)) = next.split_first() else {
+                // Every child of the innermost open span is done: close it.
+                let Some((idx, siblings, len)) = open.pop() else {
+                    break;
+                };
+                on_path[idx] = false;
+                path.truncate(len);
+                next = siblings;
+                continue;
+            };
+            if on_path[idx] {
+                next = siblings;
+                continue;
+            }
+            let span = &trace.spans()[idx].span;
+            let len = path.len();
+            if !open.is_empty() {
+                path.push(';');
+            }
+            on_path[idx] = true;
+            open.push((idx, siblings, len));
+            path.extend(
+                span.name
+                    .chars()
+                    .map(|c| if c == ';' || c == ' ' { '_' } else { c }),
+            );
+            let kids = trace.child_indices(span.id);
+            let child_time: u64 = kids
+                .iter()
+                .map(|&k| trace.spans()[k].span.duration_ns())
+                .sum();
+            let self_us = span.duration_ns().saturating_sub(child_time) / 1_000;
+            if self_us > 0 || kids.is_empty() {
+                writeln!(self.out, "{path} {}", self_us.max(1))?;
+            }
+            next = kids;
         }
+        self.written += 1;
         Ok(())
     }
 
-    fn emit(
-        &mut self,
-        trace: &CorrelatedTrace,
-        idx: usize,
-        stack: &mut Vec<String>,
-    ) -> io::Result<()> {
-        let span = &trace.spans()[idx].span;
-        stack.push(span.name.replace([';', ' '], "_"));
-        let kids = trace.child_indices(span.id);
-        let child_time: u64 = kids
-            .iter()
-            .map(|&k| trace.spans()[k].span.duration_ns())
-            .sum();
-        let self_us = span.duration_ns().saturating_sub(child_time) / 1_000;
-        if self_us > 0 || kids.is_empty() {
-            writeln!(self.out, "{} {}", stack.join(";"), self_us.max(1))?;
-        }
-        for &k in kids {
-            self.emit(trace, k, stack)?;
-        }
-        stack.pop();
-        Ok(())
+    /// Number of runs written so far.
+    pub fn written(&self) -> usize {
+        self.written
     }
 
     /// Flushes without consuming the writer (for long-lived sinks that
@@ -1243,7 +1269,10 @@ mod tests {
         w.write_trace(&trace).unwrap();
         let out = w.finish().unwrap();
         assert_eq!(out.writes, n + 2, "`[`, one per span, `]`");
-        assert_eq!(out.bytes, crate::export::to_span_json(&trace).as_bytes());
+        assert_eq!(
+            out.bytes,
+            serde_json::to_string(trace.spans()).unwrap().as_bytes()
+        );
 
         let mut w = SpanJsonLinesWriter::new(CountingWrite::default());
         w.write_trace(&trace).unwrap();
@@ -1254,7 +1283,13 @@ mod tests {
         w.write_trace(&trace).unwrap();
         let out = w.finish().unwrap();
         assert_eq!(out.writes, n + 2, "envelope open, one per event, close");
-        assert_eq!(out.bytes, crate::export::to_chrome_trace(&trace).as_bytes());
+        let mut w = ChromeTraceWriter::new(Vec::new()).unwrap();
+        w.write_trace(&trace).unwrap();
+        assert_eq!(
+            out.bytes,
+            w.finish().unwrap(),
+            "write splitting keeps the bytes"
+        );
     }
 
     #[test]
@@ -1286,7 +1321,92 @@ mod tests {
         let c = reconstruct_parents(&Trace::from_spans(spans()));
         let mut w = FoldedStacksWriter::new(Vec::new());
         w.write_run(&c).unwrap();
+        assert_eq!(w.written(), 1, "counts runs");
         let out = String::from_utf8(w.finish().unwrap()).unwrap();
         assert!(out.contains("predict;conv2d/Conv2D "), "{out}");
+    }
+
+    #[test]
+    fn folded_writer_walks_a_deep_chain_on_a_small_stack() {
+        // Span i parents span i + 1 and keeps 2 ns of self time, so only
+        // the leaf gets a line. A walk that recursed once per level would
+        // overflow the 256 KiB stack long before the leaf.
+        use crate::correlate::{AmbiguityReport, CorrelatedSpan};
+        const DEPTH: u64 = 100_000;
+        let mut parent = None;
+        let spans = (0..DEPTH)
+            .map(|i| {
+                let mut b = SpanBuilder::new(format!("s{i}"), StackLevel::Layer, TraceId(1));
+                if let Some(p) = parent {
+                    b = b.parent(p);
+                }
+                let span = b.start(i).finish(2 * DEPTH - i);
+                parent = Some(span.id);
+                CorrelatedSpan {
+                    parent: span.parent,
+                    span,
+                    launch_interval: None,
+                }
+            })
+            .collect();
+        let trace = CorrelatedTrace::new(spans, AmbiguityReport::default());
+        let out = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || {
+                let mut w = FoldedStacksWriter::new(Vec::new());
+                w.write_run(&trace).unwrap();
+                w.finish().unwrap()
+            })
+            .unwrap()
+            .join()
+            .expect("the folded walk must not need a deep call stack");
+        let names: Vec<String> = (0..DEPTH).map(|i| format!("s{i}")).collect();
+        assert_eq!(
+            String::from_utf8(out).unwrap(),
+            format!("{} 1\n", names.join(";"))
+        );
+    }
+
+    #[test]
+    fn folded_writer_does_not_reenter_a_span_on_its_own_path() {
+        // `inner` reuses `outer`'s id and names it as its parent, so the
+        // children of that id include `inner` itself.
+        use crate::correlate::{AmbiguityReport, CorrelatedSpan};
+        let outer = SpanBuilder::new("outer", StackLevel::Model, TraceId(1))
+            .start(0)
+            .finish(100_000);
+        let mut inner = SpanBuilder::new("inner", StackLevel::Layer, TraceId(1))
+            .start(10_000)
+            .finish(15_000);
+        inner.id = outer.id;
+        let spans = [outer, inner]
+            .into_iter()
+            .map(|span| CorrelatedSpan {
+                parent: (span.name == "inner").then_some(span.id),
+                span,
+                launch_interval: None,
+            })
+            .collect();
+        let trace = CorrelatedTrace::new(spans, AmbiguityReport::default());
+        let mut w = FoldedStacksWriter::new(Vec::new());
+        w.write_run(&trace).unwrap();
+        let out = String::from_utf8(w.finish().unwrap()).unwrap();
+        assert_eq!(out, "outer 95\n");
+    }
+
+    #[test]
+    fn folded_writer_keeps_separators_of_empty_names() {
+        let root = SpanBuilder::new("", StackLevel::Model, TraceId(1))
+            .start(0)
+            .finish(10_000);
+        let child = SpanBuilder::new("", StackLevel::Layer, TraceId(1))
+            .start(1_000)
+            .parent(root.id)
+            .finish(4_000);
+        let c = reconstruct_parents(&Trace::from_spans(vec![root, child]));
+        let mut w = FoldedStacksWriter::new(Vec::new());
+        w.write_run(&c).unwrap();
+        let out = String::from_utf8(w.finish().unwrap()).unwrap();
+        assert_eq!(out, " 7\n; 3\n");
     }
 }

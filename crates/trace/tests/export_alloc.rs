@@ -113,7 +113,13 @@ fn rewriting_a_trace_through_the_same_writer_allocates_nothing() {
             .for_each(|s| w.write_span(s).expect("Vec writes cannot fail"));
         w.finish().expect("Vec writes cannot fail").len()
     };
-    let chrome_len = xsp_trace::export::to_chrome_trace_of(spans.iter()).len();
+    let chrome_len = {
+        let mut w = ChromeTraceWriter::new(Vec::new()).expect("Vec writes cannot fail");
+        spans
+            .iter()
+            .for_each(|s| w.write_span(s).expect("Vec writes cannot fail"));
+        w.finish().expect("Vec writes cannot fail").len()
+    };
 
     let mut out = Vec::with_capacity(2 * jsonl_len);
     let mut jsonl = SpanJsonLinesWriter::new(&mut out);

@@ -3,6 +3,7 @@
 //!
 //! Run with: `cargo run --release --example leveled_overhead`
 
+use xsp_core::export::{export_run_profile, ExportFormat};
 use xsp_core::profile::{ProfileRequest, Xsp, XspConfig};
 use xsp_core::report::fmt_ms;
 use xsp_framework::FrameworkKind;
@@ -48,14 +49,14 @@ fn main() {
     }
     println!("  ... ({} spans total)", tree.len());
 
-    // Chrome-trace export for chrome://tracing or Perfetto — serialized off
+    // Chrome-trace export for chrome://tracing or Perfetto, streamed off
     // the correlated trace's borrowed span view, no cloning.
-    let json = xsp_trace::export::to_chrome_trace_of(run.trace.iter_spans());
     let path = std::env::temp_dir().join("xsp_trace.json");
-    std::fs::write(&path, &json).expect("write trace");
+    let file = std::fs::File::create(&path).expect("create trace");
+    let events = export_run_profile(run, ExportFormat::Chrome, std::io::BufWriter::new(file))
+        .expect("write trace");
     println!(
-        "\nChrome trace written to {} ({} bytes)",
-        path.display(),
-        json.len()
+        "\nChrome trace written to {} ({events} events)",
+        path.display()
     );
 }

@@ -442,16 +442,16 @@ fn profile(flags: &HashMap<String, String>) -> ExitCode {
             render_analysis(a, &p, &system)?;
         }
 
-        if let Some(path) = flags.get("chrome") {
-            let run = &p.mlg_runs[0];
-            let json = xsp_trace::export::to_chrome_trace_of(run.trace.iter_spans());
-            std::fs::write(path, json).map_err(|e| e.to_string())?;
-            println!("chrome trace written to {path}");
-        }
-        if let Some(path) = flags.get("flamegraph") {
-            let folded = xsp_trace::export::to_folded_stacks(&p.mlg_runs[0].trace);
-            std::fs::write(path, folded).map_err(|e| e.to_string())?;
-            println!("folded stacks written to {path}");
+        for (flag, format, what) in [
+            ("chrome", ExportFormat::Chrome, "chrome trace"),
+            ("flamegraph", ExportFormat::Folded, "folded stacks"),
+        ] {
+            if let Some(path) = flags.get(flag) {
+                let file = std::fs::File::create(path).map_err(|e| e.to_string())?;
+                export_run_profile(&p.mlg_runs[0], format, std::io::BufWriter::new(file))
+                    .map_err(|e| e.to_string())?;
+                println!("{what} written to {path}");
+            }
         }
         Ok(())
     })();
@@ -516,23 +516,7 @@ fn export(flags: &HashMap<String, String>) -> ExitCode {
             level.label()
         );
         let profile = xsp.run(ProfileRequest::new(&model.graph(batch)).level(level));
-        let written = match flags.get("out") {
-            Some(path) => {
-                let file = std::fs::File::create(path)
-                    .map_err(|e| format!("cannot create {path}: {e}"))?;
-                let written = export_profile(&profile, format, std::io::BufWriter::new(file))
-                    .map_err(|e| format!("export to {path} failed: {e}"))?;
-                eprintln!("{format} export written to {path}");
-                written
-            }
-            None => {
-                let stdout = std::io::stdout();
-                let written = export_profile(&profile, format, stdout.lock())
-                    .map_err(|e| format!("export to stdout failed: {e}"))?;
-                std::io::stdout().flush().map_err(|e| e.to_string())?;
-                written
-            }
-        };
+        let written = write_export(flags, format, |out| export_profile(&profile, format, out))?;
         let unit = if format == ExportFormat::Folded {
             "runs"
         } else {
@@ -603,7 +587,7 @@ fn export_live_sink(
     let profile = xsp.run(ProfileRequest::new(&model.graph(batch)).level(level));
     sink.finish().map_err(|e| format!("sink {path}: {e}"))?;
     // Folded sinks finalize whole runs, so their write counter counts runs.
-    let unit = if path.ends_with(".folded") {
+    let unit = if ExportFormat::from_path(std::path::Path::new(path)) == ExportFormat::Folded {
         "folded runs"
     } else {
         "spans"
@@ -614,6 +598,31 @@ fn export_live_sink(
         profile.runs().count()
     );
     Ok(())
+}
+
+/// Runs `export` into the `-o`/`--out` file (buffered) or, without one,
+/// into stdout, and returns what it counted.
+fn write_export(
+    flags: &HashMap<String, String>,
+    format: ExportFormat,
+    export: impl FnOnce(&mut dyn Write) -> std::io::Result<usize>,
+) -> Result<usize, String> {
+    match flags.get("out") {
+        Some(path) => {
+            let file =
+                std::fs::File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
+            let written = export(&mut std::io::BufWriter::new(file))
+                .map_err(|e| format!("export to {path} failed: {e}"))?;
+            eprintln!("{format} export written to {path}");
+            Ok(written)
+        }
+        None => {
+            let written = export(&mut std::io::stdout().lock())
+                .map_err(|e| format!("export to stdout failed: {e}"))?;
+            std::io::stdout().flush().map_err(|e| e.to_string())?;
+            Ok(written)
+        }
+    }
 }
 
 /// `xsp export --from`: converts a saved capture offline (§III-A: the
@@ -673,23 +682,9 @@ fn export_offline(
     );
     // The level is metadata on RunProfile only; exports never read it.
     let profile = xsp_core::pipeline::profile_from_trace(trace, ProfilingLevel::ModelLayerGpu);
-    let written = match flags.get("out") {
-        Some(path) => {
-            let file =
-                std::fs::File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
-            let written = export_run_profile(&profile, format, std::io::BufWriter::new(file))
-                .map_err(|e| format!("export to {path} failed: {e}"))?;
-            eprintln!("{format} export written to {path}");
-            written
-        }
-        None => {
-            let stdout = std::io::stdout();
-            let written = export_run_profile(&profile, format, stdout.lock())
-                .map_err(|e| format!("export to stdout failed: {e}"))?;
-            std::io::stdout().flush().map_err(|e| e.to_string())?;
-            written
-        }
-    };
+    let written = write_export(flags, format, |out| {
+        export_run_profile(&profile, format, out)
+    })?;
     let unit = if format == ExportFormat::Folded {
         "trace traversals"
     } else {

@@ -67,7 +67,8 @@ fn golden_trace_still_deserializes() {
     }
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(GOLDEN_PATH);
     let golden = std::fs::read_to_string(&path).expect("golden present");
-    let trace = xsp_trace::export::from_span_json(&golden).expect("golden parses");
+    let spans: Vec<xsp_trace::Span> = serde_json::from_str(&golden).expect("golden parses");
+    let trace = xsp_trace::Trace::from_spans(spans);
     assert!(
         trace.len() > 500,
         "leveled BERT trace has {} spans",

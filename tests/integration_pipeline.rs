@@ -1,6 +1,7 @@
 //! End-to-end pipeline integration: a full leveled profile of a real zoo
 //! model must produce a consistent across-stack view.
 
+use xsp_core::export::{export_run_profile, ExportFormat};
 use xsp_core::profile::{ProfileRequest, ProfilingLevel, Xsp, XspConfig};
 use xsp_framework::FrameworkKind;
 use xsp_gpu::systems;
@@ -148,9 +149,9 @@ fn offline_analysis_roundtrip() {
     let live = run_once(&xsp_cfg, &graph, ProfilingLevel::ModelLayerGpu, 0);
 
     // export the raw (uncorrelated parents preserved) spans and reload
-    let spans: Vec<xsp_trace::Span> = live.trace.iter_spans().cloned().collect();
-    let json = xsp_trace::export::to_span_json(&xsp_trace::Trace::from_spans(spans));
-    let reloaded = xsp_trace::export::from_span_json(&json).unwrap();
+    let mut jsonl = Vec::new();
+    export_run_profile(&live, ExportFormat::Spans, &mut jsonl).unwrap();
+    let reloaded = xsp_trace::export::read_span_json_lines(&jsonl[..]).unwrap();
     let offline = profile_from_trace(reloaded, ProfilingLevel::ModelLayerGpu);
 
     assert_eq!(offline.layers.len(), live.layers.len());
@@ -171,7 +172,9 @@ fn folded_stack_export_covers_model_time() {
     let cfg = XspConfig::new(system, FrameworkKind::TensorFlow);
     let graph = zoo::by_name("MobileNet_v1_0.25_128").unwrap().graph(2);
     let run = run_once(&cfg, &graph, ProfilingLevel::ModelLayerGpu, 0);
-    let folded = xsp_trace::export::to_folded_stacks(&run.trace);
+    let mut folded = Vec::new();
+    export_run_profile(&run, ExportFormat::Folded, &mut folded).unwrap();
+    let folded = String::from_utf8(folded).unwrap();
     // total folded weight ≈ total root span time (µs)
     let total_us: u64 = folded
         .lines()

@@ -6,8 +6,8 @@
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
 
-use xsp_core::export::ExportSink;
-use xsp_core::pipeline::profile_from_correlated;
+use xsp_core::export::{export_run_profile, ExportFormat, ExportSink};
+use xsp_core::pipeline::{profile_from_correlated, RunProfile};
 use xsp_core::profile::{ProfilingLevel, Xsp, XspConfig};
 use xsp_core::scheduler::Parallelism;
 use xsp_core::serving::{simulate, simulate_streaming, ArrivalTrace, ServingConfig, ServingModel};
@@ -160,9 +160,14 @@ fn decode_step_survives_correlation_window_boundary() {
     let b = profile_from_correlated(split, ProfilingLevel::ModelLayerGpu);
     assert_eq!(a.kernels.len(), b.kernels.len());
     assert_eq!(a.layers.len(), b.layers.len());
+    let chrome = |run: &RunProfile| {
+        let mut out = Vec::new();
+        export_run_profile(run, ExportFormat::Chrome, &mut out).unwrap();
+        out
+    };
     assert_eq!(
-        xsp_trace::export::to_chrome_trace_of(a.trace.iter_spans()),
-        xsp_trace::export::to_chrome_trace_of(b.trace.iter_spans()),
+        chrome(&a),
+        chrome(&b),
         "window boundary changed the correlated trace"
     );
 }

@@ -200,21 +200,18 @@ fn latency_scales_with_seq_and_batch() {
 
 /// Folded-stack export of a transformer trace: every attention kernel
 /// shows up as a leaf frame under its attention layer, weighted by
-/// self-time, and the per-run streamed output matches the whole-trace
-/// string exporter byte for byte.
+/// self-time.
 #[test]
 fn folded_stacks_expose_attention_kernels_with_self_time() {
-    use xsp_trace::export::{to_folded_stacks, FoldedStacksWriter};
+    use xsp_trace::export::FoldedStacksWriter;
 
     let xsp = xsp_with(7, 1, Parallelism::Serial);
     let profile = xsp.run(ProfileRequest::new(&transformer::bert_base(1, 64)));
     let run = &profile.mlg_runs[0];
 
-    let folded = to_folded_stacks(&run.trace);
     let mut writer = FoldedStacksWriter::new(Vec::new());
     writer.write_run(&run.trace).unwrap();
-    let streamed = String::from_utf8(writer.finish().unwrap()).unwrap();
-    assert_eq!(folded, streamed, "wrapper must match the streaming writer");
+    let folded = String::from_utf8(writer.finish().unwrap()).unwrap();
 
     // Parse `stack;frames weight` lines.
     let lines: Vec<(Vec<&str>, u64)> = folded
