@@ -7,7 +7,7 @@
 //!
 //! * **spanpath** — publish → drain → correlate, the resident hot path.
 //!   The `span` arm drains into a `Trace` (one owned [`Span`] per span,
-//!   strings and all) and correlates it, moving the spans into the
+//!   its strings shared) and correlates it, moving the spans into the
 //!   result; the `store` arm drains into a [`SpanStore`] (columns +
 //!   interned names) and correlates over store indices without
 //!   materializing.
@@ -18,7 +18,10 @@
 //!   path. The `jsonl` arm parses span-JSON-lines into owned spans; the
 //!   `xspb` arm streams the binary format directly into a store and
 //!   correlates over store indices. At 100k spans the read half of each
-//!   arm is also timed alone (`ingest_read/*`, for information only).
+//!   arm is also timed alone (`ingest_read/*`), and an `xspb_spans` arm
+//!   reads the binary format into owned spans and correlates those: the
+//!   store's margin over plain spans on the same input. Both are for
+//!   information only.
 //!
 //! The fourth, **export**, runs no correlation: it times the JSON writers
 //! alone. The `jsonl` arm writes span-JSON-lines, the `chrome` arm Chrome
@@ -308,8 +311,21 @@ fn bench_ingest(
         }
 
         // The read half of each arm alone, for information: it shows how
-        // much of the gated ratio is parsing rather than correlation.
+        // much of the gated ratio is parsing rather than correlation. And
+        // `.xspb` into owned spans, correlated as spans: what the store
+        // adds over the span path on the same bytes.
         if n == 100_000 {
+            let secs = median_secs(samples, || {
+                let trace =
+                    xsp_trace::export::read_span_binary(&xspb[..]).expect("own encoding parses");
+                black_box(CorrelationEngine::new().correlate(trace));
+            });
+            let rate = n as f64 / secs;
+            rates.push(("ingest/xspb_spans/100000".to_owned(), rate));
+            if let Some(summary) = summary.as_mut() {
+                summary.point("ingest/xspb_spans/100000", &[("spans_per_sec", rate)]);
+            }
+
             for (label, secs) in [
                 (
                     "jsonl",
@@ -436,7 +452,9 @@ fn main() {
     let ingest_ratio = rate_of("ingest/xspb/100000") / rate_of("ingest/jsonl/100000");
     let path_ratio = rate_of("spanpath/store/100000") / rate_of("spanpath/span/100000");
     let incr_ratio = rate_of("incremental/push/100000") / rate_of("incremental/batch/100000");
+    let spans_ratio = rate_of("ingest/xspb_spans/100000") / rate_of("ingest/jsonl/100000");
     println!("  ingest speedup @100k (xspb/jsonl):   {ingest_ratio:.1}x");
+    println!("  ... with owned spans (no gate):      {spans_ratio:.1}x");
     println!("  spanpath speedup @100k (store/span): {path_ratio:.1}x");
     println!("  incremental cost @100k (push/batch): {incr_ratio:.2}x");
     if let Some(summary) = summary.as_mut() {
@@ -444,6 +462,7 @@ fn main() {
             "speedup/100000",
             &[
                 ("ingest_xspb_over_jsonl", ingest_ratio),
+                ("ingest_xspb_spans_over_jsonl", spans_ratio),
                 ("spanpath_store_over_span", path_ratio),
                 ("incremental_push_over_batch", incr_ratio),
             ],

@@ -82,7 +82,7 @@ pub fn a11_kernel_info_by_layer(profile: &LeveledProfile, system: &System) -> Ve
             };
             LayerKernelRow {
                 layer_index: l.index,
-                layer_name: l.name.clone(),
+                layer_name: l.name.to_string(),
                 layer_latency_ms,
                 kernel_latency_ms,
                 kernel_count: mine.len(),

@@ -41,10 +41,10 @@ pub fn a8_kernel_info(profile: &LeveledProfile, system: &System) -> Vec<KernelIn
             let flops = k.flops.unwrap_or(0);
             let read = k.dram_read.unwrap_or(0);
             let write = k.dram_write.unwrap_or(0);
-            let point = classify(k.name.clone(), flops, read, write, k.latency_ms, system);
+            let point = classify(k.name.to_string(), flops, read, write, k.latency_ms, system);
             KernelInfoRow {
                 order: k.order,
-                name: k.name.clone(),
+                name: k.name.to_string(),
                 layer_index: k.layer_index,
                 latency_ms: k.latency_ms,
                 gflops: flops as f64 / 1e9,
@@ -69,7 +69,7 @@ pub fn a9_kernel_roofline(profile: &LeveledProfile, system: &System) -> Vec<Roof
         .iter()
         .filter_map(|k| {
             classify(
-                k.name.clone(),
+                k.name.to_string(),
                 k.flops?,
                 k.dram_read.unwrap_or(0),
                 k.dram_write.unwrap_or(0),
@@ -129,7 +129,7 @@ pub fn a10_kernel_info_by_name(profile: &LeveledProfile, system: &System) -> Vec
                 r.occupancy_pct += occ * k.latency_ms;
             }
             None => rows.push(KernelNameAggRow {
-                name: k.name.clone(),
+                name: k.name.to_string(),
                 count: 1,
                 latency_ms: k.latency_ms,
                 gflops: flops,

@@ -28,9 +28,9 @@ pub fn a2_layer_info(profile: &LeveledProfile) -> Vec<LayerInfoRow> {
         .iter()
         .map(|l| LayerInfoRow {
             index: l.index,
-            name: l.name.clone(),
-            type_name: l.type_name.clone(),
-            shape: l.shape.clone(),
+            name: l.name.to_string(),
+            type_name: l.type_name.to_string(),
+            shape: l.shape.to_string(),
             latency_ms: l.latency_ms,
             alloc_mb: l.alloc_bytes as f64 / 1e6,
         })
@@ -81,7 +81,7 @@ fn aggregate_by_type(
                 r.total += v;
             }
             None => rows.push(TypeAggRow {
-                type_name: l.type_name.clone(),
+                type_name: l.type_name.to_string(),
                 count: 1,
                 total: v,
                 percent: 0.0,

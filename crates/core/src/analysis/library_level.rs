@@ -56,7 +56,7 @@ pub fn ax1_library_calls(profile: &LeveledProfile) -> Vec<LibraryCallRow> {
                 r.kernels += kernels;
             }
             None => rows.push(LibraryCallRow {
-                api: s.span.name.clone(),
+                api: s.span.name.to_string(),
                 count: 1,
                 total_ms: s.span.duration_ms(),
                 percent: 0.0,
@@ -96,7 +96,7 @@ pub fn library_span_layers(profile: &LeveledProfile) -> Vec<(String, Option<u64>
                 .at_level(StackLevel::Library)
                 .map(|s| {
                     (
-                        s.span.name.clone(),
+                        s.span.name.to_string(),
                         s.span.tag(tag_keys::LAYER_INDEX).and_then(|v| v.as_u64()),
                     )
                 })

@@ -143,7 +143,7 @@ pub fn ax4_cache_roofline(profile: &LeveledProfile, system: &System) -> Vec<Roof
         .filter(|k| kernel_family(&k.name) == KernelFamily::KvDecode)
         .filter_map(|k| {
             classify(
-                k.name.clone(),
+                k.name.to_string(),
                 k.flops?,
                 k.dram_read.unwrap_or(0),
                 k.dram_write.unwrap_or(0),

@@ -223,7 +223,7 @@ pub fn ax3_gemm_roofline(profile: &LeveledProfile, system: &System) -> Vec<Roofl
         .filter(|k| kernel_family(&k.name) == KernelFamily::Gemm)
         .filter_map(|k| {
             classify(
-                k.name.clone(),
+                k.name.to_string(),
                 k.flops?,
                 k.dram_read.unwrap_or(0),
                 k.dram_write.unwrap_or(0),

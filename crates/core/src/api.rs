@@ -5,7 +5,7 @@
 //! This only requires adding two extra lines in the user's inference code."
 
 use xsp_trace::span::tag_keys;
-use xsp_trace::{SpanBuilder, StackLevel, TraceId, Tracer, VirtualClock};
+use xsp_trace::{Name, SpanBuilder, StackLevel, TraceId, Tracer, VirtualClock};
 
 /// An open span; finish it to publish.
 pub struct SpanHandle<'a> {
@@ -19,7 +19,7 @@ pub fn start_span<'a>(
     tracer: &'a dyn Tracer,
     clock: &'a VirtualClock,
     trace_id: TraceId,
-    name: &str,
+    name: impl Into<Name>,
 ) -> SpanHandle<'a> {
     start_span_at_level(tracer, clock, trace_id, name, StackLevel::Model)
 }
@@ -30,7 +30,7 @@ pub fn start_span_at_level<'a>(
     tracer: &'a dyn Tracer,
     clock: &'a VirtualClock,
     trace_id: TraceId,
-    name: &str,
+    name: impl Into<Name>,
     level: StackLevel,
 ) -> SpanHandle<'a> {
     let builder = SpanBuilder::new(name, level, trace_id)
@@ -45,9 +45,9 @@ pub fn start_span_at_level<'a>(
 
 impl<'a> SpanHandle<'a> {
     /// Attaches a tag to the open span.
-    pub fn tag(&mut self, key: &str, value: impl Into<xsp_trace::TagValue>) {
+    pub fn tag(&mut self, key: impl Into<Name>, value: impl Into<xsp_trace::TagValue>) {
         if let Some(b) = self.builder.take() {
-            self.builder = Some(b.tag(key.to_owned(), value));
+            self.builder = Some(b.tag(key, value));
         }
     }
 

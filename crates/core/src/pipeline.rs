@@ -18,7 +18,8 @@ use xsp_framework::{LayerGraph, RunOptions, Session};
 use xsp_gpu::{CudaContext, CudaContextConfig, Dim3};
 use xsp_trace::span::tag_keys;
 use xsp_trace::{
-    CorrelatedTrace, CorrelationEngine, SpanBuilder, SpanId, StackLevel, TraceId, TracingServer,
+    CorrelatedTrace, CorrelationEngine, Name, Span, SpanBuilder, SpanId, StackLevel, TagValue,
+    TraceId, TracingServer,
 };
 
 /// Host-side cost of decoding/normalizing one input image, ns.
@@ -43,11 +44,11 @@ pub struct LayerProfile {
     /// Execution index within the run.
     pub index: usize,
     /// Layer name.
-    pub name: String,
+    pub name: Name,
     /// Layer type ("Conv2D", "Mul", ...).
-    pub type_name: String,
+    pub type_name: Name,
     /// Output shape rendered as the framework reports it.
-    pub shape: String,
+    pub shape: Name,
     /// Layer latency, ms.
     pub latency_ms: f64,
     /// Memory the framework allocated for the layer, bytes.
@@ -62,16 +63,16 @@ pub struct KernelProfile {
     /// Launch-order index within the run.
     pub order: usize,
     /// Kernel name.
-    pub name: String,
+    pub name: Name,
     /// Index of the layer that launched it (`None` when no layer-level
     /// profile exists in the run).
     pub layer_index: Option<usize>,
     /// Kernel duration, ms.
     pub latency_ms: f64,
     /// Grid dims (as reported).
-    pub grid: String,
+    pub grid: Name,
     /// Block dims (as reported).
-    pub block: String,
+    pub block: Name,
     /// `flop_count_sp` (present when metric profiling was on).
     pub flops: Option<u64>,
     /// `dram_read_bytes`.
@@ -357,18 +358,8 @@ fn extract_layers(trace: &CorrelatedTrace) -> Vec<LayerProfile> {
             Some(LayerProfile {
                 index,
                 name: s.span.name.clone(),
-                type_name: s
-                    .span
-                    .tag(tag_keys::LAYER_TYPE)
-                    .and_then(|v| v.as_str())
-                    .unwrap_or("?")
-                    .to_owned(),
-                shape: s
-                    .span
-                    .tag(tag_keys::LAYER_SHAPE)
-                    .and_then(|v| v.as_str())
-                    .unwrap_or("")
-                    .to_owned(),
+                type_name: str_tag(&s.span, tag_keys::LAYER_TYPE).unwrap_or(Name::Static("?")),
+                shape: str_tag(&s.span, tag_keys::LAYER_SHAPE).unwrap_or_default(),
                 latency_ms: s.span.duration_ms(),
                 alloc_bytes: s
                     .span
@@ -381,6 +372,11 @@ fn extract_layers(trace: &CorrelatedTrace) -> Vec<LayerProfile> {
         .collect();
     layers.sort_by_key(|l| l.index);
     layers
+}
+
+/// A string tag's [`Name`], shared with the span rather than copied.
+fn str_tag(span: &Span, key: &str) -> Option<Name> {
+    span.tag(key).and_then(TagValue::as_name).cloned()
 }
 
 fn extract_kernels(trace: &CorrelatedTrace, layers: &[LayerProfile]) -> Vec<KernelProfile> {
@@ -417,18 +413,8 @@ fn extract_kernels(trace: &CorrelatedTrace, layers: &[LayerProfile]) -> Vec<Kern
                     name: s.span.name.clone(),
                     layer_index,
                     latency_ms: s.span.duration_ms(),
-                    grid: s
-                        .span
-                        .tag(tag_keys::GRID)
-                        .and_then(|v| v.as_str())
-                        .unwrap_or("")
-                        .to_owned(),
-                    block: s
-                        .span
-                        .tag(tag_keys::BLOCK)
-                        .and_then(|v| v.as_str())
-                        .unwrap_or("")
-                        .to_owned(),
+                    grid: str_tag(&s.span, tag_keys::GRID).unwrap_or_default(),
+                    block: str_tag(&s.span, tag_keys::BLOCK).unwrap_or_default(),
                     flops: s.span.tag(tag_keys::FLOP_COUNT_SP).and_then(|v| v.as_u64()),
                     dram_read: s
                         .span
@@ -507,7 +493,7 @@ pub fn profile_from_correlated(correlated: CorrelatedTrace, level: ProfilingLeve
 /// internals.
 pub fn synthetic_kernel_span(
     trace_id: TraceId,
-    name: &str,
+    name: impl Into<Name>,
     start_ns: u64,
     end_ns: u64,
     grid: Dim3,

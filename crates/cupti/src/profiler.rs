@@ -16,7 +16,7 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use xsp_gpu::{ApiCall, GpuHook, GpuSpec, KernelActivity, KernelDesc, MemcpyActivity};
 use xsp_trace::span::tag_keys;
-use xsp_trace::{SpanBuilder, StackLevel, TraceId, Tracer};
+use xsp_trace::{NameTable, SpanBuilder, StackLevel, TraceId, Tracer};
 
 /// Configuration of the CUPTI adapter.
 #[derive(Debug, Clone)]
@@ -99,6 +99,9 @@ impl Cupti {
     /// `tracer` under `trace_id`. Returns the number of spans published.
     pub fn flush_to_tracer(&self, tracer: &dyn Tracer, trace_id: TraceId) -> usize {
         let records = self.drain_records();
+        // Kernel names and launch dimensions repeat across a run's
+        // records: one allocation per distinct string per flush.
+        let mut names = NameTable::new();
         let mut published = 0;
         for rec in records {
             match rec {
@@ -109,7 +112,7 @@ impl Cupti {
                         .tag(tag_keys::CORRELATION_ID, r.correlation_id);
                     if let Some(kname) = &r.kernel_name {
                         b = b
-                            .tag("kernel", kname.clone())
+                            .tag("kernel", names.share(kname))
                             .tag(tag_keys::ASYNC_LAUNCH, true);
                     } else if r.api_name == "cudaMemcpy" {
                         b = b.tag(tag_keys::ASYNC_LAUNCH, true);
@@ -118,14 +121,18 @@ impl Cupti {
                     published += 1;
                 }
                 ActivityRecord::Kernel(k) => {
-                    let mut b = SpanBuilder::new(k.name.clone(), StackLevel::Kernel, trace_id)
-                        .start(k.start_ns)
-                        .tag(tag_keys::TRACER, "cupti_activity")
-                        .tag(tag_keys::CORRELATION_ID, k.correlation_id)
-                        .tag(tag_keys::ASYNC_EXECUTION, true)
-                        .tag(tag_keys::GRID, k.grid.to_string())
-                        .tag(tag_keys::BLOCK, k.block.to_string())
-                        .tag(tag_keys::STREAM, k.stream.0 as u64);
+                    let mut b =
+                        SpanBuilder::new(names.share(&k.name), StackLevel::Kernel, trace_id)
+                            .start(k.start_ns)
+                            .tag(tag_keys::TRACER, "cupti_activity")
+                            .tag(tag_keys::CORRELATION_ID, k.correlation_id)
+                            .tag(tag_keys::ASYNC_EXECUTION, true)
+                            .tag(tag_keys::GRID, names.share_fmt(format_args!("{}", k.grid)))
+                            .tag(
+                                tag_keys::BLOCK,
+                                names.share_fmt(format_args!("{}", k.block)),
+                            )
+                            .tag(tag_keys::STREAM, k.stream.0 as u64);
                     for m in &self.cfg.metrics {
                         b = match m {
                             MetricKind::FlopCountSp => b.tag(tag_keys::FLOP_COUNT_SP, k.desc.flops),

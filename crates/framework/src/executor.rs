@@ -22,7 +22,7 @@ use std::sync::Arc;
 use xsp_gpu::jitter::Jitter;
 use xsp_gpu::{CudaContext, MemcpyKind, StreamId};
 use xsp_trace::span::tag_keys;
-use xsp_trace::{SpanBuilder, StackLevel, TraceId, Tracer};
+use xsp_trace::{Name, NameTable, SpanBuilder, StackLevel, TraceId, Tracer};
 
 /// Per-prediction options (the `TF_SessionRun`/`MXPredForward` knobs).
 pub struct RunOptions<'a> {
@@ -86,7 +86,7 @@ pub struct LayerRecord {
     /// Execution index.
     pub index: usize,
     /// Layer name.
-    pub name: String,
+    pub name: Name,
     /// Layer type name ("Conv2D", ...).
     pub type_name: &'static str,
     /// Output shape.
@@ -198,6 +198,9 @@ impl Session {
         let backend = self.framework.backend();
         let arch = ctx.system().gpu.arch;
         let mut layers = Vec::with_capacity(self.graph.len());
+        // Formatted span strings (host op names, output shapes) repeat
+        // across layers: one allocation per distinct string per run.
+        let mut names = NameTable::new();
 
         for (index, layer) in self.graph.layers.iter().enumerate() {
             let t0 = clock.now();
@@ -205,7 +208,7 @@ impl Session {
             if let Some(host) = opts.host_tracer {
                 host.report(
                     SpanBuilder::new(
-                        format!("host:dispatch:{}", layer.op.type_name()),
+                        names.share_fmt(format_args!("host:dispatch:{}", layer.op.type_name())),
                         StackLevel::Kernel,
                         opts.trace_id,
                     )
@@ -259,7 +262,10 @@ impl Session {
                             .tag(tag_keys::TRACER, self.framework.profiler_api())
                             .tag(tag_keys::LAYER_INDEX, index as u64)
                             .tag(tag_keys::LAYER_TYPE, layer.op.type_name())
-                            .tag(tag_keys::LAYER_SHAPE, layer.out_shape.to_string())
+                            .tag(
+                                tag_keys::LAYER_SHAPE,
+                                names.share_fmt(format_args!("{}", layer.out_shape)),
+                            )
                             .tag(tag_keys::ALLOC_BYTES, alloc_bytes)
                             .finish(t1),
                     );

@@ -9,6 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 use xsp_dnn::{AttentionParams, ConvParams, DecodeParams};
+use xsp_trace::Name;
 
 /// Tensor shape, outermost dimension first (NCHW for image tensors).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -300,8 +301,9 @@ impl LayerOp {
 /// One executed layer.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Layer {
-    /// Framework-assigned name ("conv2d_48/Conv2D").
-    pub name: String,
+    /// Framework-assigned name ("conv2d_48/Conv2D"); shared with every
+    /// layer span a run emits for it.
+    pub name: Name,
     /// Operation.
     pub op: LayerOp,
     /// Output tensor shape.
@@ -310,7 +312,7 @@ pub struct Layer {
 
 impl Layer {
     /// Creates a layer.
-    pub fn new(name: impl Into<String>, op: LayerOp, out_shape: TensorShape) -> Self {
+    pub fn new(name: impl Into<Name>, op: LayerOp, out_shape: TensorShape) -> Self {
         Self {
             name: name.into(),
             op,

@@ -45,6 +45,7 @@
 //! wrapper the offline paths and tests use.
 
 use crate::fxhash::{FxHashMap, FxHashSet};
+use crate::intern::Name;
 use crate::interval::{Interval, IntervalTree};
 use crate::server::Trace;
 use crate::span::{tag_keys, Span, SpanId, StackLevel, TagValue, TraceId};
@@ -999,11 +1000,12 @@ pub fn reconstruct_parents(trace: &Trace) -> CorrelatedTrace {
 
 /// Convenience: attaches a numeric tag to a span (used by adapters when
 /// merging metric values post-hoc).
-pub fn set_tag(span: &mut Span, key: &str, value: TagValue) {
-    if let Some(slot) = span.tags.iter_mut().find(|(k, _)| k == key) {
+pub fn set_tag(span: &mut Span, key: impl Into<Name>, value: TagValue) {
+    let key = key.into();
+    if let Some(slot) = span.tags.iter_mut().find(|(k, _)| *k == key) {
         slot.1 = value;
     } else {
-        span.tags.push((key.to_owned(), value));
+        span.tags.push((key, value));
     }
 }
 
@@ -1030,11 +1032,11 @@ mod tests {
     use super::*;
     use crate::span::{SpanBuilder, TraceId};
 
-    fn span(name: &str, level: StackLevel, s: u64, e: u64) -> Span {
+    fn span(name: &'static str, level: StackLevel, s: u64, e: u64) -> Span {
         SpanBuilder::new(name, level, TraceId(1)).start(s).finish(e)
     }
 
-    fn launch(name: &str, cid: u64, s: u64, e: u64, parent: Option<SpanId>) -> Span {
+    fn launch(name: &'static str, cid: u64, s: u64, e: u64, parent: Option<SpanId>) -> Span {
         SpanBuilder::new(name, StackLevel::Kernel, TraceId(1))
             .start(s)
             .maybe_parent(parent)
@@ -1043,7 +1045,7 @@ mod tests {
             .finish(e)
     }
 
-    fn exec(name: &str, cid: u64, s: u64, e: u64) -> Span {
+    fn exec(name: &'static str, cid: u64, s: u64, e: u64) -> Span {
         SpanBuilder::new(name, StackLevel::Kernel, TraceId(1))
             .start(s)
             .tag(tag_keys::CORRELATION_ID, cid)

@@ -32,11 +32,14 @@
 //! present before reserving, clean EOF (at a record boundary) is
 //! distinguished from a torn record, and every failure is a structured
 //! [`BinaryReadError`] — corrupted input can never panic or OOM the
-//! process. Because string tag values are interned too, re-reading a
-//! capture into a [`SpanStore`] via [`SpanBinaryReader::read_into_store`]
-//! performs one allocation per *distinct* string, not per span.
+//! process. Each name record becomes one shared [`Name`], and every span
+//! that references its symbol holds a clone of that `Name`: reading a
+//! capture into owned spans or into a [`SpanStore`] (via
+//! [`SpanBinaryReader::read_into_store`]) makes one string allocation per
+//! *distinct* string, not per span, and a name defined once is held once
+//! however many spans use it.
 
-use crate::intern::Symbol;
+use crate::intern::{Name, Symbol};
 use crate::server::Trace;
 use crate::span::{Span, SpanId, StackLevel, TagValue, TraceId};
 use crate::store::{SpanStore, SpanView, TagRef};
@@ -366,7 +369,7 @@ enum Record {
 #[derive(Debug)]
 pub struct SpanBinaryReader<R: Read> {
     src: R,
-    names: Vec<String>,
+    names: Vec<Name>,
     buf: Vec<u8>,
     header_done: bool,
 }
@@ -401,7 +404,7 @@ impl<R: Read> SpanBinaryReader<R> {
         let mut remap: Vec<Symbol> = self
             .names
             .iter()
-            .map(|n| store.names_mut().intern(n))
+            .map(|n| store.names_mut().intern_name(n))
             .collect();
         let mut pushed = 0usize;
         loop {
@@ -413,7 +416,7 @@ impl<R: Read> SpanBinaryReader<R> {
                 REC_NAME => {
                     self.define_name()?;
                     let latest = self.names.last().expect("just defined");
-                    remap.push(store.names_mut().intern(latest));
+                    remap.push(store.names_mut().intern_name(latest));
                 }
                 REC_SPAN => {
                     decode_span_into_store(&self.buf, &remap, store)?;
@@ -515,7 +518,7 @@ impl<R: Read> SpanBinaryReader<R> {
             ));
         }
         let name = std::str::from_utf8(&self.buf[4..]).map_err(|_| BinaryReadError::Utf8)?;
-        self.names.push(name.to_owned());
+        self.names.push(Name::new(name));
         Ok(())
     }
 }
@@ -698,11 +701,11 @@ fn read_log_count(c: &mut Cursor<'_>) -> Result<u32, BinaryReadError> {
     Ok(log_count)
 }
 
-fn decode_span(payload: &[u8], names: &[String]) -> Result<Span, BinaryReadError> {
-    let resolve = |sym: u32| -> Result<&str, BinaryReadError> {
+fn decode_span(payload: &[u8], names: &[Name]) -> Result<Span, BinaryReadError> {
+    let resolve = |sym: u32| -> Result<Name, BinaryReadError> {
         names
             .get(sym as usize)
-            .map(String::as_str)
+            .cloned()
             .ok_or(BinaryReadError::BadSymbol(sym))
     };
     let (head, mut c) = decode_head(payload)?;
@@ -710,13 +713,13 @@ fn decode_span(payload: &[u8], names: &[String]) -> Result<Span, BinaryReadError
     for _ in 0..head.tag_count {
         let (key, raw) = decode_tag(&mut c)?;
         let value = match raw {
-            RawTag::Str(sym) => TagValue::Str(resolve(sym)?.to_owned()),
+            RawTag::Str(sym) => TagValue::Str(resolve(sym)?),
             RawTag::I64(v) => TagValue::I64(v),
             RawTag::U64(v) => TagValue::U64(v),
             RawTag::F64(v) => TagValue::F64(v),
             RawTag::Bool(v) => TagValue::Bool(v),
         };
-        tags.push((resolve(key)?.to_owned(), value));
+        tags.push((resolve(key)?, value));
     }
     let log_count = read_log_count(&mut c)?;
     let mut logs = Vec::with_capacity(log_count as usize);
@@ -733,7 +736,7 @@ fn decode_span(payload: &[u8], names: &[String]) -> Result<Span, BinaryReadError
     Ok(Span {
         id: head.id,
         trace_id: head.trace_id,
-        name: resolve(head.name)?.to_owned(),
+        name: resolve(head.name)?,
         level: head.level,
         start_ns: head.start_ns,
         end_ns: head.end_ns,

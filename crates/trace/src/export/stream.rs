@@ -37,7 +37,11 @@
 //! spans it builds and every error it reports (message and offset) are
 //! the value tree's by construction, and a proptest checks it against that
 //! oracle on bent writer lines. On top, it refuses a span that ends before
-//! it starts.
+//! it starts. Names, tag keys and string values are shared for the whole
+//! stream: a string seen before is a clone of its first [`Name`], and a
+//! new one is copied into the reader's `NameArena`, so reading a span
+//! allocates its tag vector and, when it has logs, its log vector and
+//! messages.
 //!
 //! A writer over a `Vec<u8>` is how a test or a fingerprint gets the bytes
 //! in memory: there is no separate string exporter to drift from the
@@ -46,6 +50,8 @@
 //! every exported artifact.
 
 use crate::correlate::CorrelatedTrace;
+use crate::fxhash::FxHashSet;
+use crate::intern::{Name, NameArena};
 use crate::server::Trace;
 use crate::span::{LogEvent, Span, SpanId, StackLevel, TagValue, TraceId};
 use std::borrow::Cow;
@@ -233,12 +239,14 @@ fn push_span_json(buf: &mut Vec<u8>, span: &Span) {
 /// duplicate, unknown or missing key, a mistyped value, a tag object
 /// without exactly one key, `{"F64":null}`, and any syntax error. The
 /// caller's fallback then yields today's span or today's error, offset
-/// and message included. `tags` and `logs` are scratch space, reused
-/// across calls so the span's own vectors are allocated at their exact
-/// length.
+/// and message included. Names, tag keys and string values come from
+/// `names`, so a string the stream repeats is shared, not copied. `tags`
+/// and `logs` are scratch space, reused across calls so the span's own
+/// vectors are allocated at their exact length.
 fn parse_span_json(
     text: &str,
-    tags: &mut Vec<(String, TagValue)>,
+    names: &mut StreamNames,
+    tags: &mut Vec<(Name, TagValue)>,
     logs: &mut Vec<LogEvent>,
 ) -> Option<Span> {
     tags.clear();
@@ -251,7 +259,7 @@ fn parse_span_json(
         match key {
             "id" if id.is_none() => id = Some(SpanId(p.u64()?)),
             "trace_id" if trace_id.is_none() => trace_id = Some(TraceId(p.u64()?)),
-            "name" if name.is_none() => name = Some(p.string()?.into_owned()),
+            "name" if name.is_none() => name = Some(p.name(names)?),
             "level" if level.is_none() => {
                 level = Some(match &*p.string()? {
                     "Application" => StackLevel::Application,
@@ -268,7 +276,7 @@ fn parse_span_json(
             "tags" if !has_tags => {
                 has_tags = true;
                 p.array(|p| {
-                    tags.push(p.tag()?);
+                    tags.push(p.tag(names)?);
                     Some(())
                 })?;
             }
@@ -298,6 +306,52 @@ fn parse_span_json(
         tags: take_exact(tags),
         logs: take_exact(logs),
     })
+}
+
+/// The interner a [`SpanJsonLinesReader`] holds for its whole stream: a
+/// string seen before is a clone of its first [`Name`], a new one is copied
+/// into the reader's `NameArena`.
+///
+/// The set stops taking strings at [`StreamNames::MAX_NAMES`] entries or
+/// [`StreamNames::MAX_BYTES`] bytes of text; later new strings still go
+/// to the arena, whose blocks die with the spans that use them. A stream
+/// of ever-new strings then keeps no table that outgrows its spans.
+#[derive(Debug)]
+struct StreamNames {
+    seen: FxHashSet<Name>,
+    bytes: usize,
+    arena: NameArena,
+    /// Decoding buffer for escaped strings.
+    scratch: String,
+}
+
+impl StreamNames {
+    const MAX_NAMES: usize = 1 << 16;
+    const MAX_BYTES: usize = 4 << 20;
+    /// Set capacity a reader starts with: a profile's distinct strings
+    /// number in the hundreds.
+    const INITIAL_NAMES: usize = 64;
+
+    fn new() -> Self {
+        Self {
+            seen: FxHashSet::with_capacity_and_hasher(Self::INITIAL_NAMES, Default::default()),
+            bytes: 0,
+            arena: NameArena::new(),
+            scratch: String::new(),
+        }
+    }
+
+    fn share(&mut self, text: &str) -> Name {
+        if let Some(name) = self.seen.get(text) {
+            return name.clone();
+        }
+        let name = self.arena.alloc(text);
+        if self.seen.len() < Self::MAX_NAMES && self.bytes + text.len() <= Self::MAX_BYTES {
+            self.bytes += text.len();
+            self.seen.insert(name.clone());
+        }
+        name
+    }
 }
 
 /// Moves `scratch`'s items into a vector of exactly their length, leaving
@@ -395,26 +449,57 @@ impl<'a> JsonCursor<'a> {
 
     /// A string, borrowed from the line unless it holds an escape.
     fn string(&mut self) -> Option<Cow<'a, str>> {
+        let (start, end, escaped) = self.string_bounds()?;
+        if !escaped {
+            return Some(Cow::Borrowed(&self.text[start..end]));
+        }
+        let mut out = String::with_capacity(end - start);
+        self.unescape(start, end, &mut out)?;
+        Some(Cow::Owned(out))
+    }
+
+    /// A string as a [`Name`] from `names`; an escaped string is decoded
+    /// into the table's scratch buffer, so only a new string allocates.
+    fn name(&mut self, names: &mut StreamNames) -> Option<Name> {
+        let (start, end, escaped) = self.string_bounds()?;
+        if !escaped {
+            return Some(names.share(&self.text[start..end]));
+        }
+        let mut out = std::mem::take(&mut names.scratch);
+        out.clear();
+        self.unescape(start, end, &mut out)?;
+        let name = names.share(&out);
+        names.scratch = out;
+        Some(name)
+    }
+
+    /// Steps over a string literal; returns the byte range between its
+    /// quotes and whether it holds an escape.
+    fn string_bounds(&mut self) -> Option<(usize, usize, bool)> {
         self.eat(b'"')?;
         let bytes = self.text.as_bytes();
         let start = self.pos;
         let mut end = start;
+        let mut escaped = false;
         loop {
             match *bytes.get(end)? {
-                b'"' => {
-                    self.pos = end + 1;
-                    return Some(Cow::Borrowed(&self.text[start..end]));
+                b'"' => break,
+                b'\\' => {
+                    escaped = true;
+                    end += 2;
                 }
-                b'\\' => break,
                 _ => end += 1,
             }
         }
-        // Find the closing quote first: escapes only shrink, so the raw
-        // length sizes the decoded string in one allocation.
-        while bytes.get(end)? != &b'"' {
-            end += if bytes[end] == b'\\' { 2 } else { 1 };
-        }
-        let mut out = String::with_capacity(end - start);
+        self.pos = end + 1;
+        Some((start, end, escaped))
+    }
+
+    /// Decodes the escaped string literal body at `start..end` into `out`.
+    fn unescape(&self, start: usize, end: usize, out: &mut String) -> Option<()> {
+        let bytes = self.text.as_bytes();
+        // Escapes only shrink, so the raw length sizes the decoded string.
+        out.reserve(end - start);
         let mut at = start;
         while at < end {
             let run = bytes[at..end]
@@ -456,8 +541,7 @@ impl<'a> JsonCursor<'a> {
                 _ => return None,
             });
         }
-        self.pos = end + 1;
-        Some(Cow::Owned(out))
+        Some(())
     }
 
     /// Four hex digits at `at` (the vendored parser also takes a `+`
@@ -561,9 +645,9 @@ impl<'a> JsonCursor<'a> {
     }
 
     /// One `[key,{"Variant":value}]` tag.
-    fn tag(&mut self) -> Option<(String, TagValue)> {
+    fn tag(&mut self, names: &mut StreamNames) -> Option<(Name, TagValue)> {
         self.eat(b'[')?;
-        let key = self.string()?.into_owned();
+        let key = self.name(names)?;
         self.eat(b',')?;
         let mut value = None;
         self.object(|p, variant| {
@@ -571,7 +655,7 @@ impl<'a> JsonCursor<'a> {
                 return None;
             }
             value = Some(match variant {
-                "Str" => TagValue::Str(p.string()?.into_owned()),
+                "Str" => TagValue::Str(p.name(names)?),
                 "I64" => TagValue::I64(p.i64()?),
                 "U64" => TagValue::U64(p.u64()?),
                 "F64" => TagValue::F64(p.f64()?),
@@ -786,10 +870,11 @@ impl<W: Write> SpanJsonLinesWriter<W> {
 }
 
 /// Streaming reader for span-JSON-lines: yields one [`Span`] per line,
-/// holding only the current line in memory. Blank lines are skipped, so
-/// concatenated or hand-edited exports stay readable. A line that is not
-/// UTF-8 is a [`ReadError::Parse`] at that line, offset at its first
-/// invalid byte; so is a span that ends before it starts. Lines are
+/// holding the current line and the stream's distinct strings (up to a
+/// cap) in memory. Blank lines are skipped, so concatenated or
+/// hand-edited exports stay readable. A line that is not UTF-8 is a
+/// [`ReadError::Parse`] at that line, offset at its first invalid byte;
+/// so is a span that ends before it starts. Lines are
 /// parsed with no value tree, under the hand-off rule in the
 /// [module docs](self).
 #[derive(Debug)]
@@ -797,18 +882,27 @@ pub struct SpanJsonLinesReader<R: BufRead> {
     input: R,
     line: usize,
     buf: Vec<u8>,
-    tags: Vec<(String, TagValue)>,
+    names: StreamNames,
+    tags: Vec<(Name, TagValue)>,
     logs: Vec<LogEvent>,
 }
 
 impl<R: BufRead> SpanJsonLinesReader<R> {
+    /// Line-buffer capacity a reader starts with: a profiled span's line
+    /// is a few hundred bytes, so the buffer rarely grows.
+    const LINE_CAPACITY: usize = 1 << 10;
+    /// Tag-scratch capacity a reader starts with; a profiled span carries
+    /// up to a dozen tags.
+    const TAG_CAPACITY: usize = 16;
+
     /// Creates a reader over `input`.
     pub fn new(input: R) -> Self {
         Self {
             input,
             line: 0,
-            buf: Vec::new(),
-            tags: Vec::new(),
+            buf: Vec::with_capacity(Self::LINE_CAPACITY),
+            names: StreamNames::new(),
+            tags: Vec::with_capacity(Self::TAG_CAPACITY),
             logs: Vec::new(),
         }
     }
@@ -842,7 +936,12 @@ impl<R: BufRead> Iterator for SpanJsonLinesReader<R> {
                             if text.trim().is_empty() {
                                 continue;
                             }
-                            match parse_span_json(text, &mut self.tags, &mut self.logs) {
+                            match parse_span_json(
+                                text,
+                                &mut self.names,
+                                &mut self.tags,
+                                &mut self.logs,
+                            ) {
                                 Some(span) => Ok(span),
                                 None => serde_json::from_str::<Span>(text),
                             }
@@ -1166,10 +1265,7 @@ mod tests {
             "uni⟨code⟩ λ 😀",
             "del\u{7f}",
         ];
-        let mut values: Vec<TagValue> = HOSTILE
-            .iter()
-            .map(|s| TagValue::Str((*s).to_owned()))
-            .collect();
+        let mut values: Vec<TagValue> = HOSTILE.iter().map(|s| TagValue::from(*s)).collect();
         values.extend([i64::MIN, -1, 0, i64::MAX].map(TagValue::I64));
         values.extend([0, 7, u64::MAX].map(TagValue::U64));
         values.extend(
@@ -1189,13 +1285,14 @@ mod tests {
         values.extend([true, false].map(TagValue::Bool));
 
         let (mut tags, mut logs) = (Vec::new(), Vec::new());
+        let mut names = StreamNames::new();
         let mut line = Vec::new();
         for (i, name) in HOSTILE.iter().enumerate() {
             let i = i as u64;
             let span = Span {
                 id: SpanId(u64::MAX - i),
                 trace_id: TraceId(i),
-                name: (*name).to_owned(),
+                name: Name::from(*name),
                 level: StackLevel::ALL[i as usize % StackLevel::ALL.len()],
                 start_ns: i,
                 end_ns: u64::MAX - i,
@@ -1203,7 +1300,7 @@ mod tests {
                 tags: values
                     .iter()
                     .enumerate()
-                    .map(|(j, v)| (HOSTILE[j % HOSTILE.len()].to_owned(), v.clone()))
+                    .map(|(j, v)| (Name::from(HOSTILE[j % HOSTILE.len()]), v.clone()))
                     .collect(),
                 logs: HOSTILE
                     .iter()
@@ -1221,7 +1318,7 @@ mod tests {
             let spaced = text.replace(':', " :\t").replace(',', "\r, ");
             let escaped = text.replace("\"level\"", "\"l\\u0065vel\"");
             for text in [text, &spaced, &escaped] {
-                let parsed = parse_span_json(text, &mut tags, &mut logs)
+                let parsed = parse_span_json(text, &mut names, &mut tags, &mut logs)
                     .unwrap_or_else(|| panic!("direct parser declined a valid line: {text}"));
                 // Debug tells -0.0 from 0.0 and prints finite floats exactly.
                 assert_eq!(format!("{parsed:?}"), format!("{span:?}"));
@@ -1232,11 +1329,11 @@ mod tests {
 
         for f in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             let mut span = spans().remove(0);
-            span.tags = vec![("occ".to_owned(), TagValue::F64(f))];
+            span.tags = vec![(Name::from("occ"), TagValue::F64(f))];
             line.clear();
             push_span_json(&mut line, &span);
             let text = std::str::from_utf8(&line).unwrap();
-            assert!(parse_span_json(text, &mut tags, &mut logs).is_none());
+            assert!(parse_span_json(text, &mut names, &mut tags, &mut logs).is_none());
             assert!(serde_json::from_str::<Span>(text).is_err());
         }
     }

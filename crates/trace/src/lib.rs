@@ -6,8 +6,10 @@
 //! problem distributed tracing solves for micro-services. This crate provides
 //! the tracing machinery the paper's design rests on:
 //!
-//! * [`Span`]s — timed operations with unique ids, stack-level tags, key/value
-//!   annotations and optional parent references (§III-A).
+//! * [`Span`]s — timed operations with ids (unique within an id scope),
+//!   stack-level tags, key/value annotations and optional parent references
+//!   (§III-A). Their strings are shared [`Name`]s, so a span costs its tag
+//!   and log vectors, not an allocation per string.
 //! * [`Tracer`]s — per-profiler span publishers; spans flow over a channel to
 //!   a [`TracingServer`] that aggregates them into a single timeline
 //!   [`Trace`] (§III-A).
@@ -48,7 +50,7 @@ pub use correlate::{
     CorrelationEngine, StoreCorrelation, StoreCorrelationCache,
 };
 pub use hierarchy::SpanTree;
-pub use intern::{NameTable, Symbol};
+pub use intern::{Name, NameTable, Symbol};
 pub use interval::IntervalTree;
 pub use server::{Trace, TracingServer};
 pub use span::{with_span_id_scope, Span, SpanBuilder, SpanId, StackLevel, TagValue, TraceId};

@@ -319,10 +319,11 @@ impl TracingServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::intern::Name;
     use crate::span::SpanBuilder;
     use crate::tracer::Tracer;
 
-    fn span(trace_id: TraceId, name: &str, level: StackLevel, s: u64, e: u64) -> Span {
+    fn span(trace_id: TraceId, name: &'static str, level: StackLevel, s: u64, e: u64) -> Span {
         SpanBuilder::new(name, level, trace_id).start(s).finish(e)
     }
 
@@ -443,7 +444,7 @@ mod tests {
         // returned raw arrival order, which was deterministic only because
         // all producers shared one thread. Simulate two workers finishing
         // out of submission order: the run-2 buffer flushes before run 1.
-        let build = |server: &TracingServer, run: TraceId, names: [&str; 2]| {
+        let build = |server: &TracingServer, run: TraceId, names: [&'static str; 2]| {
             let buffer = server.buffer("worker");
             buffer.report(span(run, names[0], StackLevel::Model, 0, 100));
             buffer.report(span(run, names[1], StackLevel::Layer, 10, 60));
@@ -455,7 +456,7 @@ mod tests {
         let b2 = build(&in_order, TraceId(2), ["p2", "l2"]);
         b1.flush();
         b2.flush();
-        let expected: Vec<String> = in_order
+        let expected: Vec<Name> = in_order
             .drain()
             .into_spans()
             .into_iter()
@@ -467,7 +468,7 @@ mod tests {
         let b2 = build(&out_of_order, TraceId(2), ["p2", "l2"]);
         b2.flush(); // run 2 arrives first
         b1.flush();
-        let got: Vec<String> = out_of_order
+        let got: Vec<Name> = out_of_order
             .drain()
             .into_spans()
             .into_iter()

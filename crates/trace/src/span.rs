@@ -1,19 +1,25 @@
 //! Spans: the unit of profiled work in the across-stack timeline (§III-A).
 //!
 //! Each profiled event — a model-prediction step, a framework layer, a CUDA
-//! API call, a GPU kernel execution — becomes one [`Span`]. A span carries a
-//! unique identifier, start/end timestamps on the shared virtual timeline,
+//! API call, a GPU kernel execution — becomes one [`Span`]. A span carries an
+//! identifier, start/end timestamps on the shared virtual timeline,
 //! the HW/SW [`StackLevel`] it was captured at, user-defined tags and an
 //! optional parent reference. Parent references known at creation time (e.g.
 //! layer → model) are set directly; the rest are reconstructed offline (see
 //! [`crate::correlate`]).
+//!
+//! A span's name, its tag keys and its string tag values are [`Name`]s:
+//! a literal costs nothing and a repeated string is shared, so building,
+//! cloning and dropping a span allocates for its tag and log vectors, not
+//! for each string.
 
+use crate::intern::Name;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Unique span identifier.
+/// Span identifier.
 ///
 /// Ids are unique within their allocation scope: by default a process-global
 /// counter, or — inside [`with_span_id_scope`] — a deterministic per-scope
@@ -169,7 +175,7 @@ impl fmt::Display for StackLevel {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum TagValue {
     /// String tag.
-    Str(String),
+    Str(Name),
     /// Signed integer tag.
     I64(i64),
     /// Unsigned integer tag (kernel counters, byte counts).
@@ -203,6 +209,12 @@ impl TagValue {
 
     /// Returns the tag as `&str` when it holds a string.
     pub fn as_str(&self) -> Option<&str> {
+        self.as_name().map(Name::as_str)
+    }
+
+    /// Returns the tag's [`Name`] when it holds a string, to clone into
+    /// another record without copying the text.
+    pub fn as_name(&self) -> Option<&Name> {
         match self {
             TagValue::Str(s) => Some(s),
             _ => None,
@@ -210,13 +222,18 @@ impl TagValue {
     }
 }
 
-impl From<&str> for TagValue {
-    fn from(v: &str) -> Self {
-        TagValue::Str(v.to_owned())
+impl From<&'static str> for TagValue {
+    fn from(v: &'static str) -> Self {
+        TagValue::Str(Name::Static(v))
     }
 }
 impl From<String> for TagValue {
     fn from(v: String) -> Self {
+        TagValue::Str(Name::from(v))
+    }
+}
+impl From<Name> for TagValue {
+    fn from(v: Name) -> Self {
         TagValue::Str(v)
     }
 }
@@ -290,13 +307,14 @@ pub mod tag_keys {
 /// A timed operation captured by some profiler in the stack.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Span {
-    /// Unique identifier (used as the span's reference).
+    /// Identifier, used as the span's reference. Unique only within its id
+    /// scope (see [`SpanId`]): two captures can reuse each other's ids.
     pub id: SpanId,
     /// Trace (evaluation run) this span belongs to.
     pub trace_id: TraceId,
     /// Operation name ("model_prediction", "conv2d_48/Conv2D",
     /// "volta_scudnn_128x64_relu_interior_nn_v1", ...).
-    pub name: String,
+    pub name: Name,
     /// Stack level the producing profiler lives at.
     pub level: StackLevel,
     /// Start timestamp, virtual ns.
@@ -306,7 +324,7 @@ pub struct Span {
     /// Parent reference when known at creation time.
     pub parent: Option<SpanId>,
     /// User-defined key/value annotations.
-    pub tags: Vec<(String, TagValue)>,
+    pub tags: Vec<(Name, TagValue)>,
     /// Timestamped log entries.
     pub logs: Vec<LogEvent>,
 }
@@ -371,7 +389,7 @@ pub struct SpanBuilder {
 
 impl SpanBuilder {
     /// Starts building a span with the given name, level and trace.
-    pub fn new(name: impl Into<String>, level: StackLevel, trace_id: TraceId) -> Self {
+    pub fn new(name: impl Into<Name>, level: StackLevel, trace_id: TraceId) -> Self {
         Self {
             span: Span {
                 id: SpanId::next(),
@@ -406,7 +424,7 @@ impl SpanBuilder {
     }
 
     /// Attaches a tag.
-    pub fn tag(mut self, key: impl Into<String>, value: impl Into<TagValue>) -> Self {
+    pub fn tag(mut self, key: impl Into<Name>, value: impl Into<TagValue>) -> Self {
         self.span.tags.push((key.into(), value.into()));
         self
     }
@@ -446,7 +464,7 @@ impl SpanBuilder {
 mod tests {
     use super::*;
 
-    fn mk(name: &str, level: StackLevel, s: u64, e: u64) -> Span {
+    fn mk(name: &'static str, level: StackLevel, s: u64, e: u64) -> Span {
         SpanBuilder::new(name, level, TraceId(0)).start(s).finish(e)
     }
 

@@ -1,16 +1,14 @@
 //! Arena/struct-of-arrays span storage — the hot-path representation.
 //!
-//! A [`crate::span::Span`] is the right *interchange* shape (owned,
-//! self-contained, serde-friendly) but the wrong *resident* shape: every
-//! span carries an owned `String` name, a `Vec` of tags whose keys are
-//! owned `String`s, and a `Vec` of logs — three-plus allocations per span
-//! on the publish→drain→correlate path. A [`SpanStore`] keeps the same
-//! data columnar: fixed-width fields (ids, intervals, levels, parents)
-//! live in flat vectors, names/tag keys/string tag values are interned
-//! [`Symbol`]s in one [`NameTable`], and tags/logs live in shared arenas
-//! addressed by per-span ranges. Pushing a span with an already-known name
-//! allocates nothing; a 100k-span ingest performs a few dozen string
-//! allocations instead of several hundred thousand.
+//! A [`crate::span::Span`] is the *interchange* shape (owned,
+//! self-contained, serde-friendly). Its strings are shared
+//! [`crate::intern::Name`]s, so an owned span costs its tag vector (and
+//! its log vector, when it has logs) and nothing per string. A
+//! [`SpanStore`] keeps the same data columnar: fixed-width fields (ids,
+//! intervals, levels, parents) live in flat vectors, names/tag keys/string
+//! tag values are [`Symbol`]s into one [`NameTable`], and tags/logs live
+//! in shared arenas addressed by per-span ranges, so pushing a span
+//! allocates nothing per span once the columns have grown.
 //!
 //! The store is the representation for spans that arrive columnar: daemon
 //! session residency and `.xspb` ingest via
@@ -32,11 +30,12 @@
 //!
 //! Conversion back to the interchange shape is always available:
 //! [`SpanStore::materialize`] rebuilds a byte-identical [`Span`] (tag and
-//! log order preserved), and [`SpanStore::to_trace`] rebuilds a [`Trace`]
-//! with the same run bucketing `Trace::from_spans` would derive.
+//! log order preserved) whose strings are clones of the table's `Name`s,
+//! and [`SpanStore::to_trace`] rebuilds a [`Trace`] with the same run
+//! bucketing `Trace::from_spans` would derive.
 
 use crate::fxhash::FxHashMap;
-use crate::intern::{NameTable, Symbol};
+use crate::intern::{Name, NameTable, Symbol};
 use crate::server::Trace;
 use crate::span::{tag_keys, LogEvent, Span, SpanId, StackLevel, TagValue, TraceId};
 
@@ -56,10 +55,10 @@ pub enum TagRef<'a> {
 }
 
 impl<'a> TagRef<'a> {
-    /// Converts to an owned [`TagValue`].
+    /// Converts to an owned [`TagValue`], copying a string value.
     pub fn to_value(self) -> TagValue {
         match self {
-            TagRef::Str(s) => TagValue::Str(s.to_owned()),
+            TagRef::Str(s) => TagValue::Str(Name::new(s)),
             TagRef::I64(v) => TagValue::I64(v),
             TagRef::U64(v) => TagValue::U64(v),
             TagRef::F64(v) => TagValue::F64(v),
@@ -214,19 +213,29 @@ impl SpanStore {
         &self.names
     }
 
-    /// Appends a span, interning its strings. Returns the span's index.
+    /// Appends a span, interning its strings (a new string is stored as
+    /// the span's own [`Name`], with no copy). Returns the span's index.
     pub fn push(&mut self, span: &Span) -> u32 {
-        let idx = self.push_raw(
+        let name = self.names.intern_name(&span.name);
+        let idx = self.push_raw_interned(
             span.id,
             span.trace_id,
-            &span.name,
+            name,
             span.level,
             span.start_ns,
             span.end_ns,
             span.parent,
         );
         for (k, v) in &span.tags {
-            self.raw_tag(k, TagRef::from(v));
+            let key = self.names.intern_name(k);
+            let cell = match v {
+                TagValue::Str(s) => TagCell::Str(self.names.intern_name(s)),
+                TagValue::I64(v) => TagCell::I64(*v),
+                TagValue::U64(v) => TagCell::U64(*v),
+                TagValue::F64(v) => TagCell::F64(*v),
+                TagValue::Bool(v) => TagCell::Bool(*v),
+            };
+            self.raw_tag_interned(key, cell);
         }
         for log in &span.logs {
             self.raw_log(log.at_ns, &log.message);
@@ -235,7 +244,7 @@ impl SpanStore {
     }
 
     /// Appends a span consumed by value (the drain path). Strings still
-    /// intern — the owned allocations are reused only on first appearance.
+    /// intern: a new one keeps the span's [`Name`], a known one is dropped.
     pub fn push_owned(&mut self, span: Span) -> u32 {
         self.push(&span)
     }
@@ -368,7 +377,9 @@ impl SpanStore {
 
     /// Rebuilds the interchange [`Span`] at `idx` — tag and log order
     /// preserved, so serializing it is byte-identical to serializing the
-    /// span that was pushed.
+    /// span that was pushed. Strings are clones of the table's [`Name`]s;
+    /// the tag vector (and a log vector, when the span has logs) are the
+    /// only allocations.
     pub fn materialize(&self, idx: u32) -> Span {
         let i = idx as usize;
         let (toff, tlen) = self.tag_ranges[i];
@@ -376,7 +387,7 @@ impl SpanStore {
             .map(|t| {
                 let t = t as usize;
                 (
-                    self.names.resolve(self.tag_keys_col[t]).to_owned(),
+                    self.names.name(self.tag_keys_col[t]).clone(),
                     self.tag_value(self.tag_cells[t]),
                 )
             })
@@ -394,7 +405,7 @@ impl SpanStore {
         Span {
             id: self.ids[i],
             trace_id: self.trace_ids[i],
-            name: self.names.resolve(self.name_syms[i]).to_owned(),
+            name: self.names.name(self.name_syms[i]).clone(),
             level: self.levels[i],
             start_ns: self.starts[i],
             end_ns: self.ends[i],
@@ -486,16 +497,16 @@ impl SpanStore {
     /// Resolves an arena tag slot to an owned `(key, value)` pair — the
     /// materialization step for tags referenced across spans (merged async
     /// launch tags).
-    pub(crate) fn tag_pair_at(&self, arena_idx: usize) -> (String, TagValue) {
+    pub(crate) fn tag_pair_at(&self, arena_idx: usize) -> (Name, TagValue) {
         (
-            self.names.resolve(self.tag_keys_col[arena_idx]).to_owned(),
+            self.names.name(self.tag_keys_col[arena_idx]).clone(),
             self.tag_value(self.tag_cells[arena_idx]),
         )
     }
 
     fn tag_value(&self, cell: TagCell) -> TagValue {
         match cell {
-            TagCell::Str(s) => TagValue::Str(self.names.resolve(s).to_owned()),
+            TagCell::Str(s) => TagValue::Str(self.names.name(s).clone()),
             TagCell::I64(v) => TagValue::I64(v),
             TagCell::U64(v) => TagValue::U64(v),
             TagCell::F64(v) => TagValue::F64(v),

@@ -177,7 +177,7 @@ mod tests {
     use super::*;
     use crate::span::{SpanBuilder, StackLevel, TraceId};
 
-    fn mk_span(name: &str) -> Span {
+    fn mk_span(name: &'static str) -> Span {
         SpanBuilder::new(name, StackLevel::Model, TraceId(0))
             .start(0)
             .finish(1)

@@ -8,8 +8,8 @@ use xsp_trace::interval::{Interval, IntervalTree};
 use xsp_trace::span::{tag_keys, LogEvent, Span, SpanId, TagValue};
 use xsp_trace::stats::{percentile, trimmed_mean, Summary};
 use xsp_trace::{
-    correlate_async_spans, reconstruct_parents, AmbiguityReport, CorrelationEngine, SpanBuilder,
-    SpanStore, StackLevel, StoreCorrelationCache, Trace, TraceId,
+    correlate_async_spans, reconstruct_parents, AmbiguityReport, CorrelationEngine, Name,
+    SpanBuilder, SpanStore, StackLevel, StoreCorrelationCache, Trace, TraceId,
 };
 
 fn arb_intervals(max_n: usize) -> impl Strategy<Value = Vec<Interval>> {
@@ -206,7 +206,7 @@ const HOSTILE_STRINGS: [&str; 8] = [
 
 fn arb_tag_value() -> impl Strategy<Value = TagValue> {
     prop_oneof![
-        prop::sample::select(HOSTILE_STRINGS.to_vec()).prop_map(|s| TagValue::Str(s.to_owned())),
+        prop::sample::select(HOSTILE_STRINGS.to_vec()).prop_map(TagValue::from),
         prop::sample::select(vec![0i64, -1, 42, i64::MIN, i64::MAX]).prop_map(TagValue::I64),
         prop::sample::select(vec![0u64, 7, u64::MAX]).prop_map(TagValue::U64),
         prop::sample::select(vec![
@@ -256,12 +256,12 @@ fn arb_emit_span() -> impl Strategy<Value = Span> {
             |(id, trace_id, name, level_ix, start_ns, len, parent, tags, logs)| Span {
                 id: SpanId(id),
                 trace_id: TraceId(trace_id),
-                name: name.to_owned(),
+                name: Name::from(name),
                 level: StackLevel::ALL[level_ix],
                 start_ns,
                 end_ns: start_ns + len,
                 parent: parent.map(SpanId),
-                tags: tags.into_iter().map(|(k, v)| (k.to_owned(), v)).collect(),
+                tags: tags.into_iter().map(|(k, v)| (Name::from(k), v)).collect(),
                 logs: logs
                     .into_iter()
                     .map(|(at_ns, message)| LogEvent {
@@ -296,13 +296,13 @@ fn oracle_chrome_event(span: &Span) -> String {
     }
     for (k, v) in &span.tags {
         let value = match v {
-            TagValue::Str(s) => serde_json::Value::String(s.clone()),
+            TagValue::Str(s) => serde_json::Value::String(s.to_string()),
             TagValue::I64(i) => serde_json::json!(i),
             TagValue::U64(u) => serde_json::json!(u),
             TagValue::F64(f) => serde_json::json!(f),
             TagValue::Bool(b) => serde_json::Value::Bool(*b),
         };
-        args.insert(k.clone(), value);
+        args.insert(k.to_string(), value);
     }
     serde_json::to_string(&OracleChromeEvent {
         name: &span.name,
@@ -371,7 +371,7 @@ fn json_str(s: &str) -> String {
 fn doc_of(span: &Span) -> Doc {
     let num = |v: u64| Doc::Leaf(v.to_string());
     let member = |key: &str, value: Doc| (json_str(key), value);
-    let tag = |(key, value): &(String, TagValue)| {
+    let tag = |(key, value): &(Name, TagValue)| {
         let (variant, text) = match value {
             TagValue::Str(s) => ("Str", json_str(s)),
             TagValue::I64(v) => ("I64", v.to_string()),
@@ -723,7 +723,7 @@ fn oracle_line(line: &str) -> Option<Result<Span, serde_json::Error>> {
 
 /// Span equality with floats compared by bits (`-0.0` is not `0.0`).
 fn same_span(a: &Span, b: &Span) -> bool {
-    let same_tag = |(ka, va): &(String, TagValue), (kb, vb): &(String, TagValue)| {
+    let same_tag = |(ka, va): &(Name, TagValue), (kb, vb): &(Name, TagValue)| {
         ka == kb
             && match (va, vb) {
                 (TagValue::F64(x), TagValue::F64(y)) => x.to_bits() == y.to_bits(),
@@ -1212,4 +1212,85 @@ fn build_spans(specs: Vec<SpanSpec>) -> Vec<xsp_trace::Span> {
         spans.push(builder.finish(start + len));
     }
     spans
+}
+
+/// The bytes of `spans` in every span format: span JSON, Chrome events,
+/// `.xspb`, and folded stacks of their correlation.
+fn every_format(spans: &[Span]) -> [Vec<u8>; 4] {
+    use xsp_trace::export::{
+        ChromeTraceWriter, FoldedStacksWriter, SpanBinaryWriter, SpanJsonWriter,
+    };
+    let mut json = SpanJsonWriter::new(Vec::new()).unwrap();
+    let mut chrome = ChromeTraceWriter::new(Vec::new()).unwrap();
+    let mut xspb = SpanBinaryWriter::new(Vec::new()).unwrap();
+    for span in spans {
+        json.write_span(span).unwrap();
+        chrome.write_span(span).unwrap();
+        xspb.write_span(span).unwrap();
+    }
+    let mut folded = FoldedStacksWriter::new(Vec::new());
+    folded
+        .write_run(&reconstruct_parents(&Trace::from_spans(spans.to_vec())))
+        .unwrap();
+    [
+        json.finish().unwrap(),
+        chrome.finish().unwrap(),
+        xspb.finish().unwrap(),
+        folded.finish().unwrap(),
+    ]
+}
+
+proptest! {
+    /// Shared names never show: spans read back through the direct JSONL
+    /// parser, through a line the parser hands to `serde_json`, from
+    /// `.xspb` into owned spans, and from `.xspb` into a store and out
+    /// through `materialize` equal the spans written (which hold literal
+    /// names), and re-export to the same bytes in every format.
+    #[test]
+    fn interning_is_invisible(spans in prop::collection::vec(arb_emit_span(), 1..12)) {
+        use xsp_trace::export::{
+            spans_to_binary, SpanBinaryReader, SpanJsonLinesReader, SpanJsonLinesWriter,
+        };
+        // JSON has no spelling for a non-finite float.
+        let spans: Vec<Span> = spans
+            .into_iter()
+            .map(|mut s| {
+                for (_, v) in &mut s.tags {
+                    if matches!(v, TagValue::F64(f) if !f.is_finite()) {
+                        *v = TagValue::F64(0.5);
+                    }
+                }
+                s
+            })
+            .collect();
+
+        let mut writer = SpanJsonLinesWriter::new(Vec::new());
+        for span in &spans {
+            writer.write_span(span).unwrap();
+        }
+        let jsonl = String::from_utf8(writer.finish().unwrap()).unwrap();
+        // An unknown key makes the direct parser decline every line.
+        let fallback: String = jsonl
+            .lines()
+            .map(|l| format!("{{\"extra\":1,{}\n", &l[1..]))
+            .collect();
+        let xspb = spans_to_binary(&spans);
+        let mut store = SpanStore::new();
+        SpanBinaryReader::new(&xspb[..]).read_into_store(&mut store).unwrap();
+
+        let paths: [(&str, Vec<Span>); 4] = [
+            ("direct JSONL", SpanJsonLinesReader::new(jsonl.as_bytes()).collect::<Result<_, _>>().unwrap()),
+            ("serde fallback", SpanJsonLinesReader::new(fallback.as_bytes()).collect::<Result<_, _>>().unwrap()),
+            (".xspb", SpanBinaryReader::new(&xspb[..]).collect::<Result<_, _>>().unwrap()),
+            (".xspb store", (0..store.len() as u32).map(|i| store.materialize(i)).collect()),
+        ];
+        let want = every_format(&spans);
+        for (path, read) in &paths {
+            prop_assert_eq!(read.len(), spans.len(), "{}", path);
+            for (got, span) in read.iter().zip(&spans) {
+                prop_assert!(same_span(got, span), "{}: {:?} != {:?}", path, got, span);
+            }
+            prop_assert!(every_format(read) == want, "{}: re-export bytes differ", path);
+        }
+    }
 }
